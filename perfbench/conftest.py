@@ -1,0 +1,7 @@
+"""Make ``repro`` (from ``src``) and ``perfbench`` importable in the tests."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
