@@ -31,7 +31,7 @@ from repro.alloc.spec import (
     AllocatorSpec,
     build_allocator,
 )
-from repro.core.predictor import LifetimePredictor
+from repro.core.predictor import DEFAULT_THRESHOLD, LifetimePredictor
 from repro.obs.spans import TRACER
 from repro.runtime.events import Trace
 from repro.runtime.stream.protocol import (
@@ -248,7 +248,7 @@ def simulate_arena(
     """
     spec = AllocatorSpec(
         num_arenas=num_arenas, arena_size=arena_size, strategy=strategy,
-        threshold=getattr(predictor, "threshold", None) or 32 * 1024,
+        threshold=getattr(predictor, "threshold", None) or DEFAULT_THRESHOLD,
     )
     return simulate_spec(trace, spec, predictor=predictor, model=model,
                          telemetry=telemetry)

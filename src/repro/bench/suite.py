@@ -11,8 +11,14 @@ costs, capture rate, heap size, mispredictions) come from the final
 replay, which is bit-identical to every other replay of the same trace.
 
 The telemetry probe is attached on *every* repeat so timings are
-internally consistent (its ~5% overhead is part of the measured quantity,
-identically in every session).  Each benchmark runs under a
+internally consistent: its overhead is part of the measured quantity,
+identically in every session.  That overhead is not small — probed
+replays measured 13-62% slower than bare ones (espresso arena 1.15 s
+bare vs 1.60 s probed, gawk bsd 0.33 s vs 0.54 s, full scale, 2-core
+Xeon VM).  The perfbench traced run states it per run as
+``telemetry.overhead_ratio`` (probed minus bare replay time, over bare):
+0.2-0.36 on the ``paper`` workload, rising as bare replays get faster.
+Each benchmark runs under a
 ``bench.<name>`` span when tracing is enabled, so a session exports a
 Perfetto-readable picture of exactly what it measured.
 """

@@ -106,7 +106,7 @@ class CCEPredictor(LifetimePredictor):
             round_size(size, self.size_rounding),
         )
 
-    def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
+    def _predict(self, chain: CallChain, size: int) -> bool:
         return self.key_for(chain, size) in self.keys
 
 
@@ -120,26 +120,24 @@ def train_cce_predictor(
 
     A (key, size) entry qualifies only if *every* object whose chain
     encrypts to that key died under the threshold — so chains that collide
-    with a long-lived chain are (safely) disqualified.  The and-fold is
-    order-independent, so a streamed trace selects exactly the keys the
-    materialized one does.
+    with a long-lived chain are (safely) disqualified.  That is a
+    maximum-lifetime fold, kept per raw (chain id, size) pair and
+    encrypted once per pair; it is order-independent, so a streamed
+    trace selects exactly the keys the materialized one does.
     """
-    from repro.runtime.stream.protocol import (
-        as_event_source,
-        iter_object_lifetimes,
-    )
+    from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
+    from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
-    chain_of = source.header.chains.chain
-    all_short: Dict[Tuple[int, int], bool] = {}
-    for chain_id, size, lifetime, _ in iter_object_lifetimes(source):
-        key = (
-            encrypt_chain(chain_of(chain_id), bits),
-            round_size(size, size_rounding),
-        )
-        short = lifetime < threshold
-        all_short[key] = all_short.get(key, True) and short
-    selected = frozenset(key for key, short in all_short.items() if short)
+    fold = fold_object_lifetimes(
+        source, lambda: SiteSelectFold(source.header.chains)
+    )
+    maxima = fold.max_lifetimes(lambda chain, size: (
+        encrypt_chain(chain, bits), round_size(size, size_rounding)
+    ))
+    selected = frozenset(
+        key for key, lifetime in maxima.items() if lifetime < threshold
+    )
     return CCEPredictor(
         selected,
         threshold=threshold,

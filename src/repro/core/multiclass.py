@@ -28,7 +28,7 @@ from repro.core.predictor import (
     TRUE_PREDICTION_ROUNDING,
     LifetimePredictor,
 )
-from repro.core.profile import SiteKey, build_profile
+from repro.core.profile import SiteKey
 from repro.core.sites import FULL_CHAIN, CallChain, site_key
 
 if TYPE_CHECKING:
@@ -99,7 +99,7 @@ class MultiClassPredictor(LifetimePredictor):
         """The predicted lifetime class, or ``None`` for long-lived."""
         return self.site_classes.get(self.key_for(chain, size))
 
-    def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
+    def _predict(self, chain: CallChain, size: int) -> bool:
         """Class-0 membership: the paper's single-threshold prediction."""
         return self.class_of(chain, size) == 0
 
@@ -121,16 +121,18 @@ def train_multiclass_predictor(
     lifetime.  With ``thresholds=(32768,)`` this is byte-for-byte the
     paper's predictor.
     """
-    profile = build_profile(
-        trace, chain_length=chain_length, size_rounding=size_rounding
-    )
+    from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
+    from repro.runtime.stream.protocol import as_event_source
+
+    source = as_event_source(trace)
+    fold = fold_object_lifetimes(source, lambda: SiteSelectFold(
+        source.header.chains, chain_length, size_rounding
+    ))
     ladder = tuple(thresholds)
     site_classes: Dict[SiteKey, int] = {}
-    for key, stats in profile.sites():
-        if stats.max_lifetime is None:
-            continue
+    for key, max_lifetime in fold.max_lifetimes().items():
         for klass, bound in enumerate(ladder):
-            if stats.max_lifetime < bound:
+            if max_lifetime < bound:
                 site_classes[key] = klass
                 break
     return MultiClassPredictor(
@@ -138,5 +140,5 @@ def train_multiclass_predictor(
         thresholds=ladder,
         chain_length=chain_length,
         size_rounding=size_rounding,
-        program=trace.program,
+        program=source.header.program,
     )

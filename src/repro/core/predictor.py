@@ -36,12 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Optional, Tuple, Union
 
-from repro.core.profile import SiteKey, SiteProfile, build_profile
+from repro.core.profile import SiteKey, SiteProfile
 from repro.core.sites import (
     FULL_CHAIN,
     CallChain,
     prune_recursive_cycles,
-    round_size,
     site_key,
 )
 from typing import TYPE_CHECKING
@@ -87,13 +86,38 @@ class LifetimePredictor:
     expose ``site_count`` (how many database entries back the prediction —
     the Sites Used columns) and ``threshold`` (the short-lived cutoff they
     were trained for).
+
+    Families implement :meth:`_predict`; :meth:`predicts_short_lived`
+    memoizes its verdict per ``(chain, size)`` on the instance, so a
+    replay resolves each site once — the paper runtime's single hash
+    lookup per allocation (§5.1) — instead of re-keying every object.
+    The memo is a cache, not state: pickling drops it (see
+    :meth:`__getstate__`), and the database writer never reads it.
     """
 
     threshold: int
+    #: Verdict memo, created on first use; keyed by chain *value*.
+    _verdicts: Optional[Dict[Tuple[CallChain, int], bool]] = None
 
     def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
         """Whether an object born at ``(chain, size)`` is predicted short-lived."""
+        verdicts = self._verdicts
+        if verdicts is None:
+            verdicts = self._verdicts = {}
+        key = (chain, size)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = verdicts[key] = self._predict(chain, size)
+        return verdict
+
+    def _predict(self, chain: CallChain, size: int) -> bool:
+        """The uncached verdict for ``(chain, size)``."""
         raise NotImplementedError
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_verdicts", None)
+        return state
 
     @property
     def site_count(self) -> int:
@@ -139,7 +163,7 @@ class SitePredictor(LifetimePredictor):
             chain, size, length=self.chain_length, size_rounding=self.size_rounding
         )
 
-    def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
+    def _predict(self, chain: CallChain, size: int) -> bool:
         return self.key_for(chain, size) in self.sites
 
     def restricted_to(self, profile: SiteProfile) -> "SitePredictor":
@@ -175,7 +199,7 @@ class SizeOnlyPredictor(LifetimePredictor):
     def site_count(self) -> int:
         return len(self.sizes)
 
-    def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
+    def _predict(self, chain: CallChain, size: int) -> bool:
         return size in self.sizes
 
 
@@ -252,7 +276,7 @@ class StaticEscapePredictor(LifetimePredictor):
                 return cls
         return "short"
 
-    def predicts_short_lived(self, chain: CallChain, size: int) -> bool:
+    def _predict(self, chain: CallChain, size: int) -> bool:
         return self.class_of(chain, size) == "short"
 
 
@@ -268,45 +292,31 @@ def train_site_predictor(
     objects were all freed in under ``threshold`` bytes of allocation — the
     paper's conservative all-short-lived rule, chosen because mispredicted
     long-lived objects pollute arenas (§4.1, §5.2).  Selection depends
-    only on each site's maximum lifetime, so a streamed trace trains the
-    identical database in O(live objects) memory.
+    only on each site's maximum lifetime — an order-independent fold over
+    raw ``(chain id, size)`` pairs, keyed once per pair — so a streamed or
+    sharded trace trains the identical database in O(live objects) memory.
     """
     # Imported lazily: repro.obs.telemetry imports this module for
     # DEFAULT_THRESHOLD, so a top-level obs import would be circular.
     from repro.obs.spans import TRACER
-    from repro.runtime.stream.protocol import source_identity
+    from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
+    from repro.runtime.stream.protocol import as_event_source
 
-    program, dataset = source_identity(trace)
+    source = as_event_source(trace)
+    header = source.header
     with TRACER.span("profile.train_sites", cat="core",
-                     program=program, dataset=dataset,
+                     program=header.program, dataset=header.dataset,
                      threshold=threshold):
-        if getattr(trace, "shard_jobs", 1) > 1:
-            # Selection reads only each site's max lifetime, an
-            # order-independent fold, so a sharded source trains the
-            # identical database in parallel.
-            from repro.runtime.shard import (
-                SiteSelectFold,
-                fold_object_lifetimes,
-            )
-
-            fold = fold_object_lifetimes(
-                trace,
-                lambda: SiteSelectFold(
-                    trace.header.chains, chain_length, size_rounding
-                ),
-            )
-            selected = fold.short_lived_sites(threshold)
-        else:
-            profile = build_profile(
-                trace, chain_length=chain_length, size_rounding=size_rounding
-            )
-            selected = frozenset(profile.short_lived_sites(threshold))
+        fold = fold_object_lifetimes(source, lambda: SiteSelectFold(
+            header.chains, chain_length, size_rounding
+        ))
+        selected = fold.short_lived_sites(threshold)
     return SitePredictor(
         selected,
         threshold=threshold,
         chain_length=chain_length,
         size_rounding=size_rounding,
-        program=program,
+        program=header.program,
     )
 
 
@@ -314,27 +324,14 @@ def train_size_only_predictor(
     trace: TraceLike, threshold: int = DEFAULT_THRESHOLD
 ) -> SizeOnlyPredictor:
     """Train a :class:`SizeOnlyPredictor`: sizes whose objects all died young."""
-    from repro.runtime.stream.protocol import (
-        as_event_source,
-        iter_object_lifetimes,
-    )
+    from repro.runtime.shard import SizeOnlyFold, fold_object_lifetimes
+    from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
-    if getattr(source, "shard_jobs", 1) > 1:
-        from repro.runtime.shard import SizeOnlyFold, fold_object_lifetimes
-
-        fold = fold_object_lifetimes(source, lambda: SizeOnlyFold(threshold))
-        selected = fold.short_lived_sizes()
-        return SizeOnlyPredictor(
-            selected, threshold=threshold, program=source.header.program
-        )
-    per_size: Dict[int, bool] = {}
-    for _, size, lifetime, _ in iter_object_lifetimes(source):
-        short = lifetime < threshold
-        per_size[size] = per_size.get(size, True) and short
-    selected = frozenset(size for size, short in per_size.items() if short)
+    fold = fold_object_lifetimes(source, lambda: SizeOnlyFold(threshold))
     return SizeOnlyPredictor(
-        selected, threshold=threshold, program=source.header.program
+        fold.short_lived_sizes(), threshold=threshold,
+        program=source.header.program,
     )
 
 
@@ -344,23 +341,12 @@ def actual_short_lived_bytes(trace: TraceLike, threshold: int) -> int:
     This is the per-object ground truth behind the Actual Short-lived Bytes
     column: the most any site-based predictor could correctly capture.
     """
-    from repro.runtime.stream.protocol import (
-        as_event_source,
-        iter_object_lifetimes,
-    )
+    from repro.runtime.shard import ShortBytesFold, fold_object_lifetimes
+    from repro.runtime.stream.protocol import as_event_source
 
-    source = as_event_source(trace)
-    if getattr(source, "shard_jobs", 1) > 1:
-        from repro.runtime.shard import ShortBytesFold, fold_object_lifetimes
-
-        return fold_object_lifetimes(
-            source, lambda: ShortBytesFold(threshold)
-        ).total
-    total = 0
-    for _, size, lifetime, _ in iter_object_lifetimes(source):
-        if lifetime < threshold:
-            total += size
-    return total
+    return fold_object_lifetimes(
+        as_event_source(trace), lambda: ShortBytesFold(threshold)
+    ).total
 
 
 @dataclass(frozen=True)
@@ -427,100 +413,24 @@ def evaluate(
     paper reports true prediction.
 
     Scoring accumulates sums and sets over objects, so it is
-    order-independent: a streamed trace evaluates to exactly the numbers
-    the materialized one does, in one event pass.
+    order-independent: a streamed or sharded trace evaluates to exactly
+    the numbers the materialized one does, in one event pass, through
+    :class:`~repro.runtime.shard.folds.EvaluateFold`.
     """
     from repro.obs.spans import TRACER  # lazy: see train_site_predictor
+    from repro.runtime.shard import EvaluateFold, fold_object_lifetimes
     from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
     header = source.header
     with TRACER.span("predict.evaluate", cat="core",
                      program=header.program, dataset=header.dataset):
-        return _evaluate(predictor, source, count_matched_sites)
-
-
-def _evaluate(
-    predictor: LifetimePredictor,
-    source: "EventSource",
-    count_matched_sites: bool,
-) -> PredictionEvaluation:
-    from repro.runtime.stream.protocol import iter_object_lifetimes
-
-    header = source.header
-    if getattr(source, "shard_jobs", 1) > 1:
-        # Scoring is sums and set unions over objects, so a sharded
-        # source evaluates through the parallel map/reduce fold.
-        from repro.runtime.shard import EvaluateFold, fold_object_lifetimes
-
         fold = fold_object_lifetimes(
             source, lambda: EvaluateFold(predictor, header.chains)
         )
         return fold.result(
             header, source.summary, count_matched_sites=count_matched_sites
         )
-    chain_of = header.chains.chain
-    total_bytes = 0
-    actual_short = 0
-    predicted_short = 0
-    error_bytes = 0
-    predicted_objects = 0
-    predicted_refs = 0
-    matched_keys = set()
-    test_keys = set()
-    threshold = predictor.threshold
-    is_site_based = isinstance(predictor, SitePredictor)
-    is_static = isinstance(predictor, StaticEscapePredictor)
-
-    for chain_id, size, lifetime, touches in iter_object_lifetimes(source):
-        chain = chain_of(chain_id)
-        total_bytes += size
-        short = lifetime < threshold
-        if short:
-            actual_short += size
-        if is_site_based:
-            key = predictor.key_for(chain, size)  # type: ignore[attr-defined]
-            test_keys.add(key)
-            hit = key in predictor.sites  # type: ignore[attr-defined]
-            if hit:
-                matched_keys.add(key)
-        elif is_static:
-            test_keys.add(predictor.key_for(chain, size))  # type: ignore[attr-defined]
-            hit = predictor.predicts_short_lived(chain, size)
-            if hit:
-                matched_keys.update(
-                    predictor.matching_keys(chain, size)  # type: ignore[attr-defined]
-                )
-        else:
-            test_keys.add(size)
-            hit = predictor.predicts_short_lived(chain, size)
-            if hit:
-                matched_keys.add(size)
-        if hit:
-            predicted_objects += 1
-            predicted_refs += touches
-            if short:
-                predicted_short += size
-            else:
-                error_bytes += size
-
-    sites_used = (
-        len(matched_keys) if count_matched_sites else predictor.site_count
-    )
-    return PredictionEvaluation(
-        program=header.program,
-        dataset=header.dataset,
-        threshold=threshold,
-        total_sites=len(test_keys),
-        sites_used=sites_used,
-        total_bytes=total_bytes,
-        actual_short_bytes=actual_short,
-        predicted_short_bytes=predicted_short,
-        error_bytes=error_bytes,
-        predicted_objects=predicted_objects,
-        total_heap_refs=source.summary.heap_refs,
-        predicted_heap_refs=predicted_refs,
-    )
 
 
 def _pct(numerator: int, denominator: int) -> float:

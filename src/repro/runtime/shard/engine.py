@@ -100,8 +100,9 @@ def fold_object_lifetimes(
 
     ``jobs`` defaults to the source's :attr:`shard_jobs` (1 for plain
     sources), and anything that cannot shard — an in-memory source, one
-    worker, a single-chunk file — falls back to the serial
-    :func:`iter_object_lifetimes` pass, so this is always safe to call.
+    worker, a single-chunk file — folds the whole stream as one shard in
+    a serial pass, so this is always safe to call and is the one fold
+    path for serial and sharded consumers alike.
     ``fold_factory`` builds one fresh fold per shard (plus the parent's
     accumulator); it runs in the parent, and its folds travel to the
     workers by pickling.

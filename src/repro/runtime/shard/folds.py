@@ -22,12 +22,17 @@ windowed time series of :mod:`repro.obs.windows`) override ``add_object``
 and key on the byte-time positions directly — all three values are
 intrinsic to the object, so order-independence is preserved.
 
-The concrete folds mirror the pipeline's per-object accumulations:
-:class:`EvaluateFold` is :func:`repro.core.predictor.evaluate`'s body
-(integer sums plus key-set unions); :class:`SiteSelectFold` keeps only
-each site's maximum lifetime, which is all the paper's all-short-lived
-selection rule reads; :class:`SizeOnlyFold` AND-folds per-size
-shortness; :class:`ShortBytesFold` is the oracle byte sum.  The
+The concrete folds are the pipeline's lifetime accumulations, serial
+and sharded alike (a serial pass is one shard):
+:class:`EvaluateFold` is :func:`repro.core.predictor.evaluate`
+(integer sums per pair, then key-set unions); :class:`SiteSelectFold`
+keeps only the maximum lifetime, which is all the paper's
+all-short-lived selection rule reads; :class:`SizeOnlyFold` AND-folds
+per-size shortness; :class:`ShortBytesFold` is the oracle byte sum.
+The first two accumulate per raw ``(chain_id, size)`` pair and map
+pairs to site keys once, when the result is read — a trace holds a few
+hundred pairs against hundreds of thousands of objects, and keying
+(cycle pruning, sub-chains, rounding) is the expensive step.  The
 order-*dependent* accumulations (P^2 quantiles, live-byte high-water
 marks, allocator state) are deliberately absent — those replay through
 the ordered :class:`~repro.runtime.shard.source.ShardedTraceSource`
@@ -36,7 +41,17 @@ instead.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Set
+from functools import partial
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.core.predictor import (
     LifetimePredictor,
@@ -44,7 +59,7 @@ from repro.core.predictor import (
     SitePredictor,
     StaticEscapePredictor,
 )
-from repro.core.sites import ChainTable, site_key
+from repro.core.sites import FULL_CHAIN, CallChain, ChainTable, site_key
 from repro.runtime.stream.protocol import StreamHeader, StreamSummary
 
 __all__ = [
@@ -54,6 +69,9 @@ __all__ = [
     "SizeOnlyFold",
     "ShortBytesFold",
 ]
+
+#: A raw ``(chain_id, size)`` allocation identity, as the trace stores it.
+Pair = Tuple[int, int]
 
 
 class LifetimeFold:
@@ -93,71 +111,41 @@ class LifetimeFold:
 class EvaluateFold(LifetimeFold):
     """The accumulators of :func:`repro.core.predictor.evaluate`.
 
-    Integer sums plus matched/test key-set unions — exactly the state
-    the serial ``_evaluate`` loop keeps, so :meth:`result` rebuilds an
-    identical :class:`~repro.core.predictor.PredictionEvaluation`.
+    Objects, short-lived objects and touches per raw ``(chain_id,
+    size)`` pair — every pair's objects share one verdict and one key,
+    so :meth:`result` asks the predictor once per pair and rebuilds the
+    byte sums and key sets from these counts.
     """
 
     def __init__(self, predictor: LifetimePredictor, chains: ChainTable):
         self.predictor = predictor
         self.chains = chains
-        self.total_bytes = 0
-        self.actual_short = 0
-        self.predicted_short = 0
-        self.error_bytes = 0
-        self.predicted_objects = 0
-        self.predicted_refs = 0
-        self.matched_keys: Set = set()
-        self.test_keys: Set = set()
-        self._site_based = isinstance(predictor, SitePredictor)
-        self._static = isinstance(predictor, StaticEscapePredictor)
+        self.threshold = predictor.threshold
+        #: (chain_id, size) -> [objects, short objects, touches]
+        self.pairs: Dict[Pair, List[int]] = {}
 
     def add(
         self, chain_id: int, size: int, lifetime: int, touches: int
     ) -> None:
-        predictor = self.predictor
-        chain = self.chains.chain(chain_id)
-        self.total_bytes += size
-        short = lifetime < predictor.threshold
-        if short:
-            self.actual_short += size
-        if self._site_based:
-            key = predictor.key_for(chain, size)  # type: ignore[attr-defined]
-            self.test_keys.add(key)
-            hit = key in predictor.sites  # type: ignore[attr-defined]
-            if hit:
-                self.matched_keys.add(key)
-        elif self._static:
-            self.test_keys.add(
-                predictor.key_for(chain, size)  # type: ignore[attr-defined]
-            )
-            hit = predictor.predicts_short_lived(chain, size)
-            if hit:
-                self.matched_keys.update(
-                    predictor.matching_keys(chain, size)  # type: ignore[attr-defined]
-                )
+        short = 1 if lifetime < self.threshold else 0
+        counts = self.pairs.get((chain_id, size))
+        if counts is None:
+            self.pairs[(chain_id, size)] = [1, short, touches]
         else:
-            self.test_keys.add(size)
-            hit = predictor.predicts_short_lived(chain, size)
-            if hit:
-                self.matched_keys.add(size)
-        if hit:
-            self.predicted_objects += 1
-            self.predicted_refs += touches
-            if short:
-                self.predicted_short += size
-            else:
-                self.error_bytes += size
+            counts[0] += 1
+            counts[1] += short
+            counts[2] += touches
 
     def merge(self, other: "EvaluateFold") -> None:
-        self.total_bytes += other.total_bytes
-        self.actual_short += other.actual_short
-        self.predicted_short += other.predicted_short
-        self.error_bytes += other.error_bytes
-        self.predicted_objects += other.predicted_objects
-        self.predicted_refs += other.predicted_refs
-        self.matched_keys |= other.matched_keys
-        self.test_keys |= other.test_keys
+        mine = self.pairs
+        for pair, (objects, short, touches) in other.pairs.items():
+            counts = mine.get(pair)
+            if counts is None:
+                mine[pair] = [objects, short, touches]
+            else:
+                counts[0] += objects
+                counts[1] += short
+                counts[2] += touches
 
     def result(
         self,
@@ -165,24 +153,58 @@ class EvaluateFold(LifetimeFold):
         summary: StreamSummary,
         count_matched_sites: bool = True,
     ) -> PredictionEvaluation:
-        """The finished evaluation (identical to the serial pass's)."""
+        """The finished evaluation, resolving each pair once.
+
+        Test and matched keys live in the predictor's own key space: its
+        site key (site and static predictors; a static hit matches every
+        database entry that covers it) or the size (every other family).
+        """
+        predictor = self.predictor
+        site_based = isinstance(predictor, SitePredictor)
+        static = isinstance(predictor, StaticEscapePredictor)
+        chain_of = self.chains.chain
+        total_bytes = actual_short = predicted_short = error_bytes = 0
+        predicted_objects = predicted_refs = 0
+        matched_keys: Set = set()
+        test_keys: Set = set()
+        for (chain_id, size), (objects, short, touches) in self.pairs.items():
+            chain = chain_of(chain_id)
+            total_bytes += objects * size
+            actual_short += short * size
+            if site_based or static:
+                key = predictor.key_for(chain, size)  # type: ignore[attr-defined]
+            else:
+                key = size
+            test_keys.add(key)
+            if not predictor.predicts_short_lived(chain, size):
+                continue
+            if static:
+                matched_keys.update(
+                    predictor.matching_keys(chain, size)  # type: ignore[attr-defined]
+                )
+            else:
+                matched_keys.add(key)
+            predicted_objects += objects
+            predicted_refs += touches
+            predicted_short += short * size
+            error_bytes += (objects - short) * size
         sites_used = (
-            len(self.matched_keys) if count_matched_sites
-            else self.predictor.site_count
+            len(matched_keys) if count_matched_sites
+            else predictor.site_count
         )
         return PredictionEvaluation(
             program=header.program,
             dataset=header.dataset,
-            threshold=self.predictor.threshold,
-            total_sites=len(self.test_keys),
+            threshold=predictor.threshold,
+            total_sites=len(test_keys),
             sites_used=sites_used,
-            total_bytes=self.total_bytes,
-            actual_short_bytes=self.actual_short,
-            predicted_short_bytes=self.predicted_short,
-            error_bytes=self.error_bytes,
-            predicted_objects=self.predicted_objects,
+            total_bytes=total_bytes,
+            actual_short_bytes=actual_short,
+            predicted_short_bytes=predicted_short,
+            error_bytes=error_bytes,
+            predicted_objects=predicted_objects,
             total_heap_refs=summary.heap_refs,
-            predicted_heap_refs=self.predicted_refs,
+            predicted_heap_refs=predicted_refs,
         )
 
 
@@ -190,45 +212,65 @@ class SiteSelectFold(LifetimeFold):
     """Per-site maximum lifetime at one abstraction level.
 
     The all-short-lived rule reads nothing else ("all objects lived
-    less than 32 kilobytes" is ``max_lifetime < threshold``), and max
-    is a commutative fold — so the sharded site predictor selects
-    exactly the serial trainer's frozenset, which is why the saved
-    databases stay byte-identical (the writer sorts its site list).
+    less than 32 kilobytes" is ``max_lifetime < threshold``).  The fold
+    keeps the maximum per raw ``(chain_id, size)`` pair and maps pairs
+    to site keys only in :meth:`max_lifetimes`; max is commutative and
+    associative, so the per-site maxima — and the selected frozenset —
+    equal a per-object fold's in any order and any sharding, which is
+    why the saved databases stay byte-identical (the writer sorts its
+    site list).
     """
 
     def __init__(
         self,
         chains: ChainTable,
-        chain_length: Optional[int],
-        size_rounding: int,
+        chain_length: Optional[int] = FULL_CHAIN,
+        size_rounding: int = 1,
     ):
         self.chains = chains
         self.chain_length = chain_length
         self.size_rounding = size_rounding
-        self.max_lifetime: Dict = {}
+        #: (chain_id, size) -> maximum lifetime
+        self.pair_max: Dict[Pair, int] = {}
 
     def add(
         self, chain_id: int, size: int, lifetime: int, touches: int
     ) -> None:
-        key = site_key(
-            self.chains.chain(chain_id), size,
-            length=self.chain_length, size_rounding=self.size_rounding,
-        )
-        current = self.max_lifetime.get(key)
+        current = self.pair_max.get((chain_id, size))
         if current is None or lifetime > current:
-            self.max_lifetime[key] = lifetime
+            self.pair_max[(chain_id, size)] = lifetime
 
     def merge(self, other: "SiteSelectFold") -> None:
-        mine = self.max_lifetime
-        for key, lifetime in other.max_lifetime.items():
-            current = mine.get(key)
+        mine = self.pair_max
+        for pair, lifetime in other.pair_max.items():
+            current = mine.get(pair)
             if current is None or lifetime > current:
-                mine[key] = lifetime
+                mine[pair] = lifetime
+
+    def max_lifetimes(
+        self, key_of: Optional[Callable[[CallChain, int], Hashable]] = None
+    ) -> Dict[Hashable, int]:
+        """Maximum lifetime per key, resolving each raw pair once.
+
+        ``key_of(chain, size)`` defaults to the site key at this fold's
+        level; other key spaces (CCE keys) pass their own.
+        """
+        if key_of is None:
+            key_of = partial(site_key, length=self.chain_length,
+                             size_rounding=self.size_rounding)
+        chain_of = self.chains.chain
+        maxima: Dict[Hashable, int] = {}
+        for (chain_id, size), lifetime in self.pair_max.items():
+            key = key_of(chain_of(chain_id), size)
+            current = maxima.get(key)
+            if current is None or lifetime > current:
+                maxima[key] = lifetime
+        return maxima
 
     def short_lived_sites(self, threshold: int) -> FrozenSet:
         """Site keys whose every object died under ``threshold``."""
         return frozenset(
-            key for key, lifetime in self.max_lifetime.items()
+            key for key, lifetime in self.max_lifetimes().items()
             if lifetime < threshold
         )
 

@@ -294,10 +294,12 @@ def iter_object_lifetimes(
     ``end_time - birth``.  The working set is the live-object dict.
 
     Every per-object accumulation in the pipeline that is
-    order-independent — the all-short-lived site folds behind each
-    predictor family, survival curves, lifetime quantile inputs — is fed
-    from this iterator, which is why the streaming and materialized
-    paths produce identical predictor databases and tables.
+    order-independent — survival curves, lifetime quantile inputs, and
+    (through the shard engine's :func:`iter_object_records`, the same
+    pass with positions kept) the all-short-lived site folds behind each
+    predictor family — is fed from this pass, which is why the streaming
+    and materialized paths produce identical predictor databases and
+    tables.
     """
     live = {}
     for ev in source.events():
