@@ -152,6 +152,8 @@ class TraceStore:
         else:
             self._cache = None
         self._traces: Dict[Tuple[str, str], Trace] = {}
+        #: Streaming mode's open file sources, one per execution.
+        self._sources: Dict[Tuple[str, str], EventSource] = {}
         self._site_predictors: Dict[tuple, SitePredictor] = {}
         self._cce_predictors: Dict[tuple, CCEPredictor] = {}
         self._static_predictors: Dict[tuple, "StaticEscapePredictor"] = {}
@@ -201,14 +203,24 @@ class TraceStore:
         *file* is streamed back rather than the run's trace being
         retained.  Only with the cache disabled does streaming mode fall
         back to wrapping the in-memory run (without retaining it).
+
+        A file source opened here is kept and handed out again on every
+        later call for the same execution, so all its consumers share
+        one lifetime census per threshold (see
+        :func:`~repro.runtime.shard.engine.lifetime_census`); in the
+        materialized mode the census lives on the shared trace instead.
         """
         key = (program, dataset)
+        source = self._sources.get(key)
+        if source is not None:
+            return source
         if not self.streaming or key in self._traces:
             return TraceEventSource(self.trace(program, dataset))
         if self._cache is not None:
             source = self._cache.open_stream(program, dataset, self.scale)
             if source is not None:
-                return self._shard(source)
+                source = self._sources[key] = self._shard(source)
+                return source
         with TRACER.span("workload.run", cat="workload", program=program,
                          dataset=dataset, scale=self.scale), \
                 self._metrics.stage("workload.run"):
@@ -217,7 +229,8 @@ class TraceStore:
             self._cache.store(trace, self.scale)
             source = self._cache.open_stream(program, dataset, self.scale)
             if source is not None:
-                return self._shard(source)
+                source = self._sources[key] = self._shard(source)
+                return source
         return TraceEventSource(trace)
 
     def _shard(self, source: EventSource) -> EventSource:

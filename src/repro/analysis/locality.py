@@ -42,6 +42,7 @@ from repro.runtime.stream.protocol import (
     EV_FREE,
     EventSource,
     as_event_source,
+    orphan_free_error,
 )
 
 __all__ = [
@@ -131,7 +132,10 @@ def measure_locality(
             if addr < region_boundary:
                 in_region += cache.accesses - before
         elif tag == EV_FREE:
-            addr = addresses.pop(obj_id)
+            try:
+                addr = addresses.pop(obj_id)
+            except KeyError:
+                raise orphan_free_error(source, obj_id) from None
             cache.access(addr)  # header read on free
             if addr < region_boundary:
                 in_region += 1

@@ -39,6 +39,7 @@ from repro.runtime.stream.protocol import (
     EV_TOUCH,
     EventSource,
     as_event_source,
+    orphan_free_error,
 )
 
 if TYPE_CHECKING:
@@ -133,7 +134,11 @@ def replay(trace: Union[Trace, EventSource], allocator: Allocator,
             if tag == EV_TOUCH:  # touch events carry no allocator work
                 continue
             if tag == EV_FREE:
-                allocator.free(addresses.pop(ev[1]))
+                try:
+                    address = addresses.pop(ev[1])
+                except KeyError:
+                    raise orphan_free_error(source, ev[1]) from None
+                allocator.free(address)
             else:
                 addresses[ev[1]] = allocator.malloc(ev[3], chain_of(ev[2]))
             step += 1

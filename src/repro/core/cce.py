@@ -121,20 +121,19 @@ def train_cce_predictor(
     A (key, size) entry qualifies only if *every* object whose chain
     encrypts to that key died under the threshold — so chains that collide
     with a long-lived chain are (safely) disqualified.  That is a
-    maximum-lifetime fold, kept per raw (chain id, size) pair and
-    encrypted once per pair; it is order-independent, so a streamed
-    trace selects exactly the keys the materialized one does.
+    maximum-lifetime reduction of the trace's lifetime census, encrypted
+    once per raw (chain id, size) pair; it is order-independent, so a
+    streamed trace selects exactly the keys the materialized one does.
     """
-    from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
+    from repro.runtime.shard import lifetime_census
     from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
-    fold = fold_object_lifetimes(
-        source, lambda: SiteSelectFold(source.header.chains)
+    maxima = lifetime_census(source, threshold).max_lifetimes(
+        source.header.chains, lambda chain, size: (
+            encrypt_chain(chain, bits), round_size(size, size_rounding)
+        ),
     )
-    maxima = fold.max_lifetimes(lambda chain, size: (
-        encrypt_chain(chain, bits), round_size(size, size_rounding)
-    ))
     selected = frozenset(
         key for key, lifetime in maxima.items() if lifetime < threshold
     )

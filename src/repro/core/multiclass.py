@@ -19,6 +19,7 @@ to its threshold the way the paper sizes 64 KB to the 32 KB cutoff.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, Optional, Sequence, Tuple
 
 from typing import TYPE_CHECKING
@@ -121,16 +122,18 @@ def train_multiclass_predictor(
     lifetime.  With ``thresholds=(32768,)`` this is byte-for-byte the
     paper's predictor.
     """
-    from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
+    from repro.runtime.shard import lifetime_census
     from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
-    fold = fold_object_lifetimes(source, lambda: SiteSelectFold(
-        source.header.chains, chain_length, size_rounding
-    ))
+    # Maximum lifetimes are the same in a census at any threshold.
+    maxima = lifetime_census(source).max_lifetimes(
+        source.header.chains, partial(site_key, length=chain_length,
+                                      size_rounding=size_rounding),
+    )
     ladder = tuple(thresholds)
     site_classes: Dict[SiteKey, int] = {}
-    for key, max_lifetime in fold.max_lifetimes().items():
+    for key, max_lifetime in maxima.items():
         for klass, bound in enumerate(ladder):
             if max_lifetime < bound:
                 site_classes[key] = klass

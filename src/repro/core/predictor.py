@@ -34,7 +34,8 @@ New Ref column).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple, Union
+from functools import partial
+from typing import Dict, FrozenSet, Optional, Set, Tuple, Union
 
 from repro.core.profile import SiteKey, SiteProfile
 from repro.core.sites import (
@@ -291,15 +292,16 @@ def train_site_predictor(
     Selects every site, at the requested abstraction level, whose training
     objects were all freed in under ``threshold`` bytes of allocation — the
     paper's conservative all-short-lived rule, chosen because mispredicted
-    long-lived objects pollute arenas (§4.1, §5.2).  Selection depends
-    only on each site's maximum lifetime — an order-independent fold over
-    raw ``(chain id, size)`` pairs, keyed once per pair — so a streamed or
-    sharded trace trains the identical database in O(live objects) memory.
+    long-lived objects pollute arenas (§4.1, §5.2).  Selection reads only
+    each site's maximum lifetime, a reduction of the trace's lifetime
+    census (one order-independent pass per trace and threshold, keyed
+    once per raw ``(chain id, size)`` pair), so a streamed or sharded
+    trace trains the identical database in O(live objects) memory.
     """
     # Imported lazily: repro.obs.telemetry imports this module for
     # DEFAULT_THRESHOLD, so a top-level obs import would be circular.
     from repro.obs.spans import TRACER
-    from repro.runtime.shard import SiteSelectFold, fold_object_lifetimes
+    from repro.runtime.shard import lifetime_census
     from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
@@ -307,10 +309,13 @@ def train_site_predictor(
     with TRACER.span("profile.train_sites", cat="core",
                      program=header.program, dataset=header.dataset,
                      threshold=threshold):
-        fold = fold_object_lifetimes(source, lambda: SiteSelectFold(
-            header.chains, chain_length, size_rounding
-        ))
-        selected = fold.short_lived_sites(threshold)
+        maxima = lifetime_census(source, threshold).max_lifetimes(
+            header.chains, partial(site_key, length=chain_length,
+                                   size_rounding=size_rounding),
+        )
+        selected = frozenset(
+            key for key, lifetime in maxima.items() if lifetime < threshold
+        )
     return SitePredictor(
         selected,
         threshold=threshold,
@@ -324,14 +329,18 @@ def train_size_only_predictor(
     trace: TraceLike, threshold: int = DEFAULT_THRESHOLD
 ) -> SizeOnlyPredictor:
     """Train a :class:`SizeOnlyPredictor`: sizes whose objects all died young."""
-    from repro.runtime.shard import SizeOnlyFold, fold_object_lifetimes
+    from repro.runtime.shard import lifetime_census
     from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
-    fold = fold_object_lifetimes(source, lambda: SizeOnlyFold(threshold))
+    all_short: Dict[int, bool] = {}
+    for (_, size), (objects, short, *_) in (
+        lifetime_census(source, threshold).pairs.items()
+    ):
+        all_short[size] = all_short.get(size, True) and short == objects
     return SizeOnlyPredictor(
-        fold.short_lived_sizes(), threshold=threshold,
-        program=source.header.program,
+        frozenset(size for size, short in all_short.items() if short),
+        threshold=threshold, program=source.header.program,
     )
 
 
@@ -341,12 +350,9 @@ def actual_short_lived_bytes(trace: TraceLike, threshold: int) -> int:
     This is the per-object ground truth behind the Actual Short-lived Bytes
     column: the most any site-based predictor could correctly capture.
     """
-    from repro.runtime.shard import ShortBytesFold, fold_object_lifetimes
-    from repro.runtime.stream.protocol import as_event_source
+    from repro.runtime.shard import lifetime_census
 
-    return fold_object_lifetimes(
-        as_event_source(trace), lambda: ShortBytesFold(threshold)
-    ).total
+    return lifetime_census(trace, threshold).short_bytes()
 
 
 @dataclass(frozen=True)
@@ -412,25 +418,71 @@ def evaluate(
     database entries that matched some test allocation, matching how the
     paper reports true prediction.
 
-    Scoring accumulates sums and sets over objects, so it is
-    order-independent: a streamed or sharded trace evaluates to exactly
-    the numbers the materialized one does, in one event pass, through
-    :class:`~repro.runtime.shard.folds.EvaluateFold`.
+    Scoring reads the trace's lifetime census at the predictor's
+    threshold — objects, short-lived objects and touches per raw
+    ``(chain id, size)`` pair — asking the predictor once per pair and
+    rebuilding byte sums as count x size, so a streamed or sharded trace
+    evaluates to exactly the numbers the materialized one does.  Test
+    and matched keys live in the predictor's own key space: its site key
+    (site and static predictors; a static hit matches every database
+    entry that covers it) or the size (every other family).
     """
     from repro.obs.spans import TRACER  # lazy: see train_site_predictor
-    from repro.runtime.shard import EvaluateFold, fold_object_lifetimes
+    from repro.runtime.shard import lifetime_census
     from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
     header = source.header
     with TRACER.span("predict.evaluate", cat="core",
                      program=header.program, dataset=header.dataset):
-        fold = fold_object_lifetimes(
-            source, lambda: EvaluateFold(predictor, header.chains)
-        )
-        return fold.result(
-            header, source.summary, count_matched_sites=count_matched_sites
-        )
+        census = lifetime_census(source, predictor.threshold)
+        site_based = isinstance(predictor, SitePredictor)
+        static = isinstance(predictor, StaticEscapePredictor)
+        chain_of = header.chains.chain
+        total_bytes = actual_short = predicted_short = error_bytes = 0
+        predicted_objects = predicted_refs = 0
+        matched_keys: Set = set()
+        test_keys: Set = set()
+        for (chain_id, size), (objects, short, touches, *_) in (
+            census.pairs.items()
+        ):
+            chain = chain_of(chain_id)
+            total_bytes += objects * size
+            actual_short += short * size
+            if site_based or static:
+                key = predictor.key_for(chain, size)  # type: ignore[attr-defined]
+            else:
+                key = size
+            test_keys.add(key)
+            if not predictor.predicts_short_lived(chain, size):
+                continue
+            if static:
+                matched_keys.update(
+                    predictor.matching_keys(chain, size)  # type: ignore[attr-defined]
+                )
+            else:
+                matched_keys.add(key)
+            predicted_objects += objects
+            predicted_refs += touches
+            predicted_short += short * size
+            error_bytes += (objects - short) * size
+    sites_used = (
+        len(matched_keys) if count_matched_sites else predictor.site_count
+    )
+    return PredictionEvaluation(
+        program=header.program,
+        dataset=header.dataset,
+        threshold=predictor.threshold,
+        total_sites=len(test_keys),
+        sites_used=sites_used,
+        total_bytes=total_bytes,
+        actual_short_bytes=actual_short,
+        predicted_short_bytes=predicted_short,
+        error_bytes=error_bytes,
+        predicted_objects=predicted_objects,
+        total_heap_refs=source.summary.heap_refs,
+        predicted_heap_refs=predicted_refs,
+    )
 
 
 def _pct(numerator: int, denominator: int) -> float:

@@ -220,7 +220,11 @@ def _build_profile_streaming(
     size_rounding: int,
 ) -> SiteProfile:
     """One-pass :func:`build_profile` over an event stream."""
-    from repro.runtime.stream.protocol import EV_ALLOC, EV_FREE
+    from repro.runtime.stream.protocol import (
+        EV_ALLOC,
+        EV_FREE,
+        orphan_free_error,
+    )
 
     header = source.header
     profile = SiteProfile(
@@ -236,7 +240,10 @@ def _build_profile_streaming(
         if tag == EV_ALLOC:
             live[ev[1]] = (ev[2], ev[3], ev[4])
         elif tag == EV_FREE:
-            chain_id, size, birth = live.pop(ev[1])
+            try:
+                chain_id, size, birth = live.pop(ev[1])
+            except KeyError:
+                raise orphan_free_error(source, ev[1]) from None
             profile.observe(
                 key_of(chain_id, size), size=size,
                 lifetime=ev[2] - birth, touches=ev[3],

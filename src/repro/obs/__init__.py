@@ -18,8 +18,9 @@ halves that share one counter backend:
 
 :mod:`repro.obs.export` writes JSONL/JSON/CSV artifacts,
 :mod:`repro.obs.attrib` attributes simulated cost / occupancy /
-fragmentation / misprediction penalties per allocation site (an
-order-independent fold, so it shards), :mod:`repro.obs.windows`
+fragmentation / misprediction penalties per allocation site (priced
+from the order-independent lifetime census, so it shards),
+:mod:`repro.obs.windows`
 partitions a run into N windows of per-window heap series (another
 shardable fold), :mod:`repro.obs.drift` scores per-site temporal drift
 against the global classification, :mod:`repro.obs.diff` diffs two
@@ -47,11 +48,11 @@ from repro.obs.spans import (
 )
 from repro.obs.export import export_timeline, telemetry_summary, write_jsonl
 from repro.obs.attrib import (
-    AttributionFold,
     AttributionProfile,
     SiteAttribution,
     attribute_sites,
     export_attribution,
+    price_census,
     render_attrib,
 )
 from repro.obs.diff import (
@@ -97,11 +98,11 @@ __all__ = [
     "export_timeline",
     "telemetry_summary",
     "write_jsonl",
-    "AttributionFold",
     "AttributionProfile",
     "SiteAttribution",
     "attribute_sites",
     "export_attribution",
+    "price_census",
     "render_attrib",
     "DiffResult",
     "MetricDelta",

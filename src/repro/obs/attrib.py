@@ -1,12 +1,11 @@
-"""Per-site cost attribution: an order-independent fold over the event IR.
+"""Per-site cost attribution: an order-independent reduction of the event IR.
 
 The paper's whole argument is that the allocation *site* (the predictor
 call chain) is the right unit for memory decisions, yet telemetry stops
 at whole-run totals — a run got slower or more fragmented, but nothing
-says *which sites paid for it*.  This module closes that gap: an
-:class:`AttributionFold` consumes the same ``(chain_id, size, lifetime,
-touches)`` tuples every predictor trainer folds and attributes, per call
-chain:
+says *which sites paid for it*.  This module closes that gap:
+:func:`price_census` reads the same per-pair lifetime census every
+predictor trainer reads and attributes, per call chain:
 
 * **simulated instruction cost** — each object is priced one alloc/free
   pair through :class:`~repro.alloc.costs.CostModel` under the chosen
@@ -25,11 +24,13 @@ chain:
   ``missed_short`` (sent to the general heap, actually died under the
   threshold — capture left on the table).
 
-The fold obeys the :class:`~repro.runtime.shard.folds.LifetimeFold`
-contract — ``add`` is order-independent, ``merge`` commutative — so it
-runs identically materialized, streamed, and sharded over the v3 chunk
-index (``--jobs N``), and the exports are byte-identical across all
-three paths (gated in CI and ``tests/test_stream_parity.py``).
+The census (:class:`~repro.runtime.shard.folds.PairCensusFold`) obeys
+the shard engine's fold contract — ``add`` is order-independent,
+``merge`` commutative — so it folds identically materialized, streamed,
+and sharded over the v3 chunk index (``--jobs N``), and the exports are
+byte-identical across all three paths (gated in CI and
+``tests/test_stream_parity.py``).  Pricing is per pair: every object of
+a pair shares its size, padding and predictor verdict.
 
 Deliberate exclusions, documented rather than approximated:
 
@@ -58,15 +59,15 @@ from repro.alloc.costs import DEFAULT_COST_MODEL, CostModel
 from repro.alloc.firstfit import ALIGNMENT, HEADER_SIZE
 from repro.core.predictor import DEFAULT_THRESHOLD, LifetimePredictor
 from repro.core.sites import CallChain, ChainTable
-from repro.runtime.shard.folds import LifetimeFold
+from repro.runtime.shard.folds import PairCensusFold
 
 __all__ = [
     "ATTRIB_PROFILES",
     "ATTRIB_SCHEMA_VERSION",
     "SiteAttribution",
-    "AttributionFold",
     "AttributionProfile",
     "attribute_sites",
+    "price_census",
     "profile_for_spec",
     "render_attrib",
     "export_attribution",
@@ -167,98 +168,69 @@ def _bsd_padding(size: int) -> int:
     return (1 << bucket_for(size)) - size
 
 
-class AttributionFold(LifetimeFold):
-    """The per-site attribution accumulators as a shardable fold.
+def price_census(
+    census: PairCensusFold,
+    chains: ChainTable,
+    profile: str,
+    predictor: Optional[LifetimePredictor] = None,
+    model: CostModel = DEFAULT_COST_MODEL,
+) -> Dict[int, SiteAttribution]:
+    """Per-chain attribution records priced from a lifetime census.
 
-    ``add`` prices each object from its ``(chain, size, lifetime)``
-    alone — no heap state — so it is order-independent; ``merge`` sums
-    per-chain records, which is commutative and associative.  The fold
-    carries the chain table (to resolve chains for the predictor) and
-    the predictor itself; both are picklable, so instances cross the
-    process-pool boundary exactly like the training folds do.
+    Every object of a raw ``(chain_id, size)`` pair has the same size,
+    padding, prices and predictor verdict, so each pair is priced once
+    from its census row: byte and instruction sums are count x price,
+    byte-times are size (or padding) x the pair's lifetime sum, and the
+    arena's pollution integral ``size x (lifetime - threshold)`` over the
+    long-lived objects is ``size x (long lifetime sum - threshold x long
+    objects)``.  All integer arithmetic, so the records equal a
+    per-object pricing exactly.  Chains keep the census's pair order.
     """
-
-    def __init__(
-        self,
-        chains: ChainTable,
-        profile: str,
-        predictor: Optional[LifetimePredictor] = None,
-        threshold: Optional[int] = None,
-        model: CostModel = DEFAULT_COST_MODEL,
-    ):
-        if profile not in ATTRIB_PROFILES:
-            raise ValueError(
-                f"unknown attribution profile {profile!r} "
-                f"(have {', '.join(ATTRIB_PROFILES)})"
-            )
-        self.chains = chains
-        self.profile = profile
-        self.predictor = predictor
-        if threshold is None:
-            threshold = getattr(predictor, "threshold", DEFAULT_THRESHOLD)
-        self.threshold = threshold
-        self.model = model
-        self.sites: Dict[int, SiteAttribution] = {}
-
-    def add(
-        self, chain_id: int, size: int, lifetime: int, touches: int
-    ) -> None:
-        site = self.sites.get(chain_id)
+    threshold = census.threshold
+    chain_of = chains.chain
+    sites: Dict[int, SiteAttribution] = {}
+    for (chain_id, size), counts in census.pairs.items():
+        objects, short, touches, _, lifetimes, long_lifetimes = counts
+        site = sites.get(chain_id)
         if site is None:
-            site = self.sites[chain_id] = SiteAttribution()
-        short = lifetime < self.threshold
-        site.objects += 1
-        site.bytes += size
+            site = sites[chain_id] = SiteAttribution()
+        site.objects += objects
+        site.bytes += objects * size
         site.touches += touches
-        site.occupancy_byte_time += size * lifetime
-        if short:
-            site.short_objects += 1
-            site.short_bytes += size
-        model = self.model
-        if self.profile == "bsd":
+        site.occupancy_byte_time += size * lifetimes
+        site.short_objects += short
+        site.short_bytes += short * size
+        if profile == "bsd":
             alloc = model.bsd_alloc_base
             free = model.bsd_free
             frag = _bsd_padding(size)
-        elif self.profile == "firstfit":
+        elif profile == "firstfit":
             alloc = model.ff_alloc_base
             free = model.ff_free_base
             frag = _firstfit_padding(size)
-        else:  # arena: the predictor decides placement per object
-            predicted = self.predictor is not None and (
-                self.predictor.predicts_short_lived(
-                    self.chains.chain(chain_id), size
-                )
+        elif predictor is not None and predictor.predicts_short_lived(
+            chain_of(chain_id), size
+        ):  # arena, predicted: bump-allocated in an arena
+            site.predicted_objects += objects
+            alloc = model.predict + model.arena_bump
+            free = model.arena_free
+            frag = 0
+            late = objects - short
+            site.late_free += late
+            site.late_free_byte_time += size * (
+                long_lifetimes - threshold * late
             )
-            if predicted:
-                site.predicted_objects += 1
-                alloc = model.predict + model.arena_bump
-                free = model.arena_free
-                frag = 0
-                if not short:
-                    site.late_free += 1
-                    site.late_free_byte_time += size * (
-                        lifetime - self.threshold
-                    )
-            else:
-                alloc = model.predict + model.ff_alloc_base
-                free = model.ff_free_base
-                frag = _firstfit_padding(size)
-                if short:
-                    site.missed_short += 1
-                    site.missed_short_bytes += size
-        site.alloc_instr += alloc
-        site.free_instr += free
-        site.frag_bytes += frag
-        site.frag_byte_time += frag * lifetime
-
-    def merge(self, other: "AttributionFold") -> None:
-        mine = self.sites
-        for chain_id, site in other.sites.items():
-            current = mine.get(chain_id)
-            if current is None:
-                mine[chain_id] = site
-            else:
-                current.merge(site)
+        else:  # arena, unpredicted: the general first-fit heap
+            alloc = model.predict + model.ff_alloc_base
+            free = model.ff_free_base
+            frag = _firstfit_padding(size)
+            site.missed_short += short
+            site.missed_short_bytes += short * size
+        site.alloc_instr += alloc * objects
+        site.free_instr += free * objects
+        site.frag_bytes += frag * objects
+        site.frag_byte_time += frag * lifetimes
+    return sites
 
 
 @dataclass
@@ -366,12 +338,11 @@ def attribute_sites(
     """Attribute one execution's costs per call chain.
 
     ``trace`` is anything :func:`~repro.runtime.stream.protocol.
-    as_event_source` accepts.  The fold dispatches through
-    :func:`~repro.runtime.shard.engine.fold_object_lifetimes`, which
-    shards over the chunk index when the source advertises
-    ``shard_jobs > 1`` and otherwise folds the serial lifetime stream —
-    so materialized, streamed, and ``--jobs N`` inputs produce the same
-    profile field for field.
+    as_event_source` accepts.  The costs are priced from the trace's
+    lifetime census (:func:`~repro.runtime.shard.engine.lifetime_census`,
+    one pass per trace and threshold, sharded over the chunk index when
+    the source advertises ``shard_jobs > 1``), so materialized, streamed,
+    and ``--jobs N`` inputs produce the same profile field for field.
 
     With ``spec`` (an :class:`~repro.alloc.AllocatorSpec`) the profile
     and threshold come from the spec — the declarative path the search
@@ -382,32 +353,36 @@ def attribute_sites(
         profile = profile_for_spec(spec)
         if threshold is None:
             threshold = spec.threshold
+    if profile not in ATTRIB_PROFILES:
+        raise ValueError(
+            f"unknown attribution profile {profile!r} "
+            f"(have {', '.join(ATTRIB_PROFILES)})"
+        )
+    if threshold is None:
+        threshold = getattr(predictor, "threshold", DEFAULT_THRESHOLD)
     # Imported lazily, mirroring repro.core.predictor: the shard engine
     # imports repro.obs.spans, so a top-level import would tie the two
     # packages' initialization orders together.
     from repro.obs.spans import TRACER
-    from repro.runtime.shard.engine import fold_object_lifetimes
+    from repro.runtime.shard.engine import lifetime_census
     from repro.runtime.stream.protocol import as_event_source
 
     source = as_event_source(trace)
     header = source.header
     with TRACER.span("attrib.fold", cat="obs", program=header.program,
                      dataset=header.dataset, profile=profile):
-        fold = fold_object_lifetimes(
-            source,
-            lambda: AttributionFold(
-                header.chains, profile,
-                predictor=predictor, threshold=threshold, model=model,
-            ),
+        sites = price_census(
+            lifetime_census(source, threshold), header.chains, profile,
+            predictor=predictor, model=model,
         )
     return AttributionProfile(
         program=header.program,
         dataset=header.dataset,
         profile=profile,
-        threshold=fold.threshold,
+        threshold=threshold,
         sites={
             header.chains.chain(chain_id): site
-            for chain_id, site in fold.sites.items()
+            for chain_id, site in sites.items()
         },
     )
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.sites import AllocationSite, CallChain, ChainTable
 
@@ -78,6 +78,11 @@ class LiveStats:
 class Trace:
     """One program execution's complete allocation trace."""
 
+    #: Lifetime census memo per threshold, created on first use (see
+    #: :func:`repro.runtime.shard.engine.lifetime_census`); shared by
+    #: every event-source view of this trace, dropped when pickling.
+    _census: Optional[Dict[int, object]] = None
+
     def __init__(
         self,
         program: str,
@@ -109,6 +114,11 @@ class Trace:
         self._touch_counts = touch_counts if touch_counts is not None else array("q")
         self._live_stats: Optional[LiveStats] = None
         self._total_bytes: Optional[int] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_census", None)
+        return state
 
     # ------------------------------------------------------------------
     # Object records

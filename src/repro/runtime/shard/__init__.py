@@ -12,8 +12,10 @@ serial streamed path (see DESIGN.md §11):
   construction.
 
 * :func:`fold_object_lifetimes` — true map/reduce for the
-  order-independent per-object folds (predictor training, evaluation,
-  the short-bytes oracle).  Shards replay concurrently and a
+  order-independent per-object folds: the pair census behind predictor
+  training, evaluation, the short-bytes oracle and attribution
+  (memoized per trace and threshold by :func:`lifetime_census`), and
+  the windowed time series.  Shards replay concurrently and a
   deterministic reducer resolves cross-shard lifetimes (allocated in
   shard i, freed in shard j) through a live-object handoff frontier
   walked in trace order.
@@ -23,25 +25,17 @@ shards; the :mod:`~repro.runtime.shard.folds` module defines the fold
 contract and the concrete folds.
 """
 
-from repro.runtime.shard.engine import fold_object_lifetimes
-from repro.runtime.shard.folds import (
-    EvaluateFold,
-    LifetimeFold,
-    ShortBytesFold,
-    SiteSelectFold,
-    SizeOnlyFold,
-)
+from repro.runtime.shard.engine import fold_object_lifetimes, lifetime_census
+from repro.runtime.shard.folds import LifetimeFold, PairCensusFold
 from repro.runtime.shard.plan import Shard, plan_shards
 from repro.runtime.shard.source import ShardedTraceSource
 
 __all__ = [
-    "EvaluateFold",
     "LifetimeFold",
+    "PairCensusFold",
     "Shard",
     "ShardedTraceSource",
-    "ShortBytesFold",
-    "SiteSelectFold",
-    "SizeOnlyFold",
     "fold_object_lifetimes",
+    "lifetime_census",
     "plan_shards",
 ]

@@ -24,26 +24,35 @@ state equals the serial fold state, not just approximately but field for
 field.  Lifetime-only folds see ``death - birth`` through the default
 ``add_object`` -> ``add`` collapse; position-aware folds (windowed time
 series) read the absolute byte-times directly.
+
+:func:`lifetime_census` is the memoized entry point for the one
+lifetime-only fold, :class:`~repro.runtime.shard.folds.PairCensusFold`:
+every trainer, evaluation, oracle and attribution call at one threshold
+reads the same census, so a trace pays one object pass per threshold.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.spans import TRACER
-from repro.runtime import tracefile
+from repro.runtime.events import Trace
 from repro.runtime.stream.protocol import (
     EV_ALLOC,
     EV_FREE,
     EventSource,
+    TraceEventSource,
+    as_event_source,
     iter_object_records,
+    orphan_free_error,
 )
 from repro.runtime.stream.v3 import TraceFileSource, read_chunk_events
-from repro.runtime.shard.folds import LifetimeFold
+from repro.runtime.shard.folds import LifetimeFold, PairCensusFold
 from repro.runtime.shard.plan import Shard, plan_shards
 
-__all__ = ["fold_object_lifetimes"]
+__all__ = ["fold_object_lifetimes", "lifetime_census"]
 
 #: opens: obj_id -> (chain_id, size, birth); closes: obj_id -> (death, touches)
 _Opens = Dict[int, Tuple[int, int, int]]
@@ -141,9 +150,8 @@ def fold_object_lifetimes(
             for obj_id, (death, touches) in closes.items():
                 entry = frontier.pop(obj_id, None)
                 if entry is None:
-                    raise tracefile.TraceFormatError(
-                        f"{path}: free of object {obj_id} with no "
-                        f"allocation in any earlier shard"
+                    raise orphan_free_error(
+                        source, obj_id, " in any earlier shard"
                     )
                 chain_id, size, birth = entry
                 fold.add_object(obj_id, chain_id, size, birth, death, touches)
@@ -158,3 +166,43 @@ def fold_object_lifetimes(
             unfreed_touches.get(obj_id, 0),
         )
     return fold
+
+
+def lifetime_census(
+    trace: Union[Trace, EventSource], threshold: Optional[int] = None
+) -> PairCensusFold:
+    """The :class:`PairCensusFold` of ``trace`` at ``threshold``, memoized.
+
+    The first call per (trace, threshold) folds every object through
+    :func:`fold_object_lifetimes` (sharded when the source advertises
+    ``shard_jobs > 1``); later calls return the same census.  The memo
+    lives on the in-memory :class:`~repro.runtime.events.Trace` for a
+    wrapped trace — so every fresh :class:`TraceEventSource` shares it —
+    and on the source object otherwise (a v3 file source fixes its
+    header, footer and chunk index at open time).  Pickling drops it.
+
+    ``threshold=None`` asks only for what no threshold changes (object
+    counts, touches, maximum lifetimes): any census already memoized
+    serves, else one is folded at the paper's default threshold.
+    """
+    source = as_event_source(trace)
+    owner = source.trace if isinstance(source, TraceEventSource) else source
+    memo = owner._census
+    if memo is None:
+        memo = owner._census = {}
+    if threshold is None:
+        if memo:
+            return next(iter(memo.values()))
+        from repro.core.predictor import DEFAULT_THRESHOLD
+
+        threshold = DEFAULT_THRESHOLD
+    census = memo.get(threshold)
+    if census is None:
+        header = source.header
+        with TRACER.span("census.fold", cat="shard",
+                         program=header.program, dataset=header.dataset,
+                         threshold=threshold):
+            census = memo[threshold] = fold_object_lifetimes(
+                source, partial(PairCensusFold, threshold)
+            )
+    return census

@@ -22,52 +22,28 @@ windowed time series of :mod:`repro.obs.windows`) override ``add_object``
 and key on the byte-time positions directly — all three values are
 intrinsic to the object, so order-independence is preserved.
 
-The concrete folds are the pipeline's lifetime accumulations, serial
-and sharded alike (a serial pass is one shard):
-:class:`EvaluateFold` is :func:`repro.core.predictor.evaluate`
-(integer sums per pair, then key-set unions); :class:`SiteSelectFold`
-keeps only the maximum lifetime, which is all the paper's
-all-short-lived selection rule reads; :class:`SizeOnlyFold` AND-folds
-per-size shortness; :class:`ShortBytesFold` is the oracle byte sum.
-The first two accumulate per raw ``(chain_id, size)`` pair and map
-pairs to site keys once, when the result is read — a trace holds a few
-hundred pairs against hundreds of thousands of objects, and keying
-(cycle pruning, sub-chains, rounding) is the expensive step.  The
-order-*dependent* accumulations (P^2 quantiles, live-byte high-water
-marks, allocator state) are deliberately absent — those replay through
-the ordered :class:`~repro.runtime.shard.source.ShardedTraceSource`
-instead.
+Every lifetime-only result of the pipeline — site, size-only, CCE and
+multiclass training, evaluation, the short-bytes oracle and per-site
+attribution — is a reduction of one :class:`PairCensusFold`: integer
+sums and maxima per raw ``(chain_id, size)`` pair at one threshold.  A
+trace holds a few hundred pairs against hundreds of thousands of
+objects, so each consumer reads the census, not the objects, and
+:func:`~repro.runtime.shard.engine.lifetime_census` folds it once per
+(trace, threshold).  The order-*dependent* accumulations (P^2
+quantiles, live-byte high-water marks, allocator state) are
+deliberately absent — those replay through the ordered
+:class:`~repro.runtime.shard.source.ShardedTraceSource` instead.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    Hashable,
-    List,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, Hashable, List, Tuple
 
-from repro.core.predictor import (
-    LifetimePredictor,
-    PredictionEvaluation,
-    SitePredictor,
-    StaticEscapePredictor,
-)
-from repro.core.sites import FULL_CHAIN, CallChain, ChainTable, site_key
-from repro.runtime.stream.protocol import StreamHeader, StreamSummary
+from repro.core.sites import CallChain, ChainTable
 
 __all__ = [
     "LifetimeFold",
-    "EvaluateFold",
-    "SiteSelectFold",
-    "SizeOnlyFold",
-    "ShortBytesFold",
+    "PairCensusFold",
 ]
 
 #: A raw ``(chain_id, size)`` allocation identity, as the trace stores it.
@@ -108,210 +84,81 @@ class LifetimeFold:
         raise NotImplementedError
 
 
-class EvaluateFold(LifetimeFold):
-    """The accumulators of :func:`repro.core.predictor.evaluate`.
+class PairCensusFold(LifetimeFold):
+    """Per raw ``(chain_id, size)`` pair, every lifetime sum at one threshold.
 
-    Objects, short-lived objects and touches per raw ``(chain_id,
-    size)`` pair — every pair's objects share one verdict and one key,
-    so :meth:`result` asks the predictor once per pair and rebuilds the
-    byte sums and key sets from these counts.
+    :attr:`pairs` maps each pair to ``[objects, short objects, touches,
+    max lifetime, sum of lifetimes, sum of long-lived lifetimes]``, where
+    short means ``lifetime < threshold``.  Every pair's objects share
+    one site key and one predictor verdict, so each consumer's result —
+    the all-short-lived selection (max lifetime), evaluation byte sums
+    (count x size), attribution byte-times (size x lifetime sum) — is a
+    reduction over these few hundred rows.  ``merge`` is elementwise sum
+    and max, commutative and associative, so the census shards like any
+    other fold and its sums equal a serial pass's exactly.
+
+    A census handed out by the memo is shared: readers must not mutate
+    it.
     """
 
-    def __init__(self, predictor: LifetimePredictor, chains: ChainTable):
-        self.predictor = predictor
-        self.chains = chains
-        self.threshold = predictor.threshold
-        #: (chain_id, size) -> [objects, short objects, touches]
+    def __init__(self, threshold: int):
+        self.threshold = threshold
         self.pairs: Dict[Pair, List[int]] = {}
 
     def add(
         self, chain_id: int, size: int, lifetime: int, touches: int
     ) -> None:
-        short = 1 if lifetime < self.threshold else 0
         counts = self.pairs.get((chain_id, size))
+        short = lifetime < self.threshold
         if counts is None:
-            self.pairs[(chain_id, size)] = [1, short, touches]
+            self.pairs[(chain_id, size)] = [
+                1, 1 if short else 0, touches, lifetime, lifetime,
+                0 if short else lifetime,
+            ]
+            return
+        counts[0] += 1
+        counts[2] += touches
+        if lifetime > counts[3]:
+            counts[3] = lifetime
+        counts[4] += lifetime
+        if short:
+            counts[1] += 1
         else:
-            counts[0] += 1
-            counts[1] += short
-            counts[2] += touches
+            counts[5] += lifetime
 
-    def merge(self, other: "EvaluateFold") -> None:
+    def merge(self, other: "PairCensusFold") -> None:
         mine = self.pairs
-        for pair, (objects, short, touches) in other.pairs.items():
+        for pair, theirs in other.pairs.items():
             counts = mine.get(pair)
             if counts is None:
-                mine[pair] = [objects, short, touches]
+                mine[pair] = list(theirs)
             else:
-                counts[0] += objects
-                counts[1] += short
-                counts[2] += touches
-
-    def result(
-        self,
-        header: StreamHeader,
-        summary: StreamSummary,
-        count_matched_sites: bool = True,
-    ) -> PredictionEvaluation:
-        """The finished evaluation, resolving each pair once.
-
-        Test and matched keys live in the predictor's own key space: its
-        site key (site and static predictors; a static hit matches every
-        database entry that covers it) or the size (every other family).
-        """
-        predictor = self.predictor
-        site_based = isinstance(predictor, SitePredictor)
-        static = isinstance(predictor, StaticEscapePredictor)
-        chain_of = self.chains.chain
-        total_bytes = actual_short = predicted_short = error_bytes = 0
-        predicted_objects = predicted_refs = 0
-        matched_keys: Set = set()
-        test_keys: Set = set()
-        for (chain_id, size), (objects, short, touches) in self.pairs.items():
-            chain = chain_of(chain_id)
-            total_bytes += objects * size
-            actual_short += short * size
-            if site_based or static:
-                key = predictor.key_for(chain, size)  # type: ignore[attr-defined]
-            else:
-                key = size
-            test_keys.add(key)
-            if not predictor.predicts_short_lived(chain, size):
-                continue
-            if static:
-                matched_keys.update(
-                    predictor.matching_keys(chain, size)  # type: ignore[attr-defined]
-                )
-            else:
-                matched_keys.add(key)
-            predicted_objects += objects
-            predicted_refs += touches
-            predicted_short += short * size
-            error_bytes += (objects - short) * size
-        sites_used = (
-            len(matched_keys) if count_matched_sites
-            else predictor.site_count
-        )
-        return PredictionEvaluation(
-            program=header.program,
-            dataset=header.dataset,
-            threshold=predictor.threshold,
-            total_sites=len(test_keys),
-            sites_used=sites_used,
-            total_bytes=total_bytes,
-            actual_short_bytes=actual_short,
-            predicted_short_bytes=predicted_short,
-            error_bytes=error_bytes,
-            predicted_objects=predicted_objects,
-            total_heap_refs=summary.heap_refs,
-            predicted_heap_refs=predicted_refs,
-        )
-
-
-class SiteSelectFold(LifetimeFold):
-    """Per-site maximum lifetime at one abstraction level.
-
-    The all-short-lived rule reads nothing else ("all objects lived
-    less than 32 kilobytes" is ``max_lifetime < threshold``).  The fold
-    keeps the maximum per raw ``(chain_id, size)`` pair and maps pairs
-    to site keys only in :meth:`max_lifetimes`; max is commutative and
-    associative, so the per-site maxima — and the selected frozenset —
-    equal a per-object fold's in any order and any sharding, which is
-    why the saved databases stay byte-identical (the writer sorts its
-    site list).
-    """
-
-    def __init__(
-        self,
-        chains: ChainTable,
-        chain_length: Optional[int] = FULL_CHAIN,
-        size_rounding: int = 1,
-    ):
-        self.chains = chains
-        self.chain_length = chain_length
-        self.size_rounding = size_rounding
-        #: (chain_id, size) -> maximum lifetime
-        self.pair_max: Dict[Pair, int] = {}
-
-    def add(
-        self, chain_id: int, size: int, lifetime: int, touches: int
-    ) -> None:
-        current = self.pair_max.get((chain_id, size))
-        if current is None or lifetime > current:
-            self.pair_max[(chain_id, size)] = lifetime
-
-    def merge(self, other: "SiteSelectFold") -> None:
-        mine = self.pair_max
-        for pair, lifetime in other.pair_max.items():
-            current = mine.get(pair)
-            if current is None or lifetime > current:
-                mine[pair] = lifetime
+                counts[0] += theirs[0]
+                counts[1] += theirs[1]
+                counts[2] += theirs[2]
+                if theirs[3] > counts[3]:
+                    counts[3] = theirs[3]
+                counts[4] += theirs[4]
+                counts[5] += theirs[5]
 
     def max_lifetimes(
-        self, key_of: Optional[Callable[[CallChain, int], Hashable]] = None
+        self,
+        chains: ChainTable,
+        key_of: Callable[[CallChain, int], Hashable],
     ) -> Dict[Hashable, int]:
-        """Maximum lifetime per key, resolving each raw pair once.
-
-        ``key_of(chain, size)`` defaults to the site key at this fold's
-        level; other key spaces (CCE keys) pass their own.
-        """
-        if key_of is None:
-            key_of = partial(site_key, length=self.chain_length,
-                             size_rounding=self.size_rounding)
-        chain_of = self.chains.chain
+        """Maximum lifetime per ``key_of(chain, size)``, keying each pair
+        once — all the paper's all-short-lived rule reads ("all objects
+        lived less than 32 kilobytes" is ``max lifetime < threshold``)."""
+        chain_of = chains.chain
         maxima: Dict[Hashable, int] = {}
-        for (chain_id, size), lifetime in self.pair_max.items():
+        for (chain_id, size), counts in self.pairs.items():
             key = key_of(chain_of(chain_id), size)
             current = maxima.get(key)
-            if current is None or lifetime > current:
-                maxima[key] = lifetime
+            if current is None or counts[3] > current:
+                maxima[key] = counts[3]
         return maxima
 
-    def short_lived_sites(self, threshold: int) -> FrozenSet:
-        """Site keys whose every object died under ``threshold``."""
-        return frozenset(
-            key for key, lifetime in self.max_lifetimes().items()
-            if lifetime < threshold
-        )
-
-
-class SizeOnlyFold(LifetimeFold):
-    """Per-size all-short-lived AND fold (the Table 5 ablation)."""
-
-    def __init__(self, threshold: int):
-        self.threshold = threshold
-        self.per_size: Dict[int, bool] = {}
-
-    def add(
-        self, chain_id: int, size: int, lifetime: int, touches: int
-    ) -> None:
-        short = lifetime < self.threshold
-        self.per_size[size] = self.per_size.get(size, True) and short
-
-    def merge(self, other: "SizeOnlyFold") -> None:
-        mine = self.per_size
-        for size, short in other.per_size.items():
-            mine[size] = mine.get(size, True) and short
-
-    def short_lived_sizes(self) -> FrozenSet[int]:
-        """Sizes whose every object died under the threshold."""
-        return frozenset(
-            size for size, short in self.per_size.items() if short
-        )
-
-
-class ShortBytesFold(LifetimeFold):
-    """Oracle sum: bytes of objects that truly died under threshold."""
-
-    def __init__(self, threshold: int):
-        self.threshold = threshold
-        self.total = 0
-
-    def add(
-        self, chain_id: int, size: int, lifetime: int, touches: int
-    ) -> None:
-        if lifetime < self.threshold:
-            self.total += size
-
-    def merge(self, other: "ShortBytesFold") -> None:
-        self.total += other.total
+    def short_bytes(self) -> int:
+        """Bytes of objects that died under the threshold (the oracle)."""
+        return sum(counts[1] * size
+                   for (_, size), counts in self.pairs.items())

@@ -39,16 +39,22 @@ exit (``summary.end_time``).  Their identity is implicit (everything
 still in a consumer's live set when the stream ends); only their touch
 counts need carrying, which ``summary.unfreed_touches`` does in
 O(live-at-exit) space.
+
+A free of an object with no live allocation is a damaged stream: every
+pass that pairs frees with allocations raises the same
+:class:`~repro.runtime.tracefile.TraceFormatError`
+(:func:`orphan_free_error`).
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 from repro.core.sites import ChainTable
 from repro.runtime.events import _NEVER_FREED, LiveStats, Trace
+from repro.runtime.tracefile import TraceFormatError
 
 __all__ = [
     "EV_ALLOC",
@@ -63,6 +69,7 @@ __all__ = [
     "build_trace",
     "iter_object_lifetimes",
     "iter_object_records",
+    "orphan_free_error",
     "source_identity",
     "stream_live_stats",
 ]
@@ -117,7 +124,19 @@ class EventSource:
     and ``summary`` are available without consuming events (the v3 file
     format keeps its footer reachable through a fixed-size trailer for
     exactly this reason).
+
+    ``_census`` memoizes the lifetime census per threshold (see
+    :func:`~repro.runtime.shard.engine.lifetime_census`); it is a cache,
+    not state, so pickling drops it.
     """
+
+    #: Lifetime census memo, created on first use; keyed by threshold.
+    _census: Optional[Dict[int, object]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        state = dict(self.__dict__)
+        state.pop("_census", None)
+        return state
 
     @property
     def header(self) -> StreamHeader:
@@ -225,6 +244,24 @@ def source_identity(trace: Union[Trace, EventSource]) -> Tuple[str, str]:
     return trace.program, trace.dataset
 
 
+def orphan_free_error(
+    source: EventSource, obj_id: int, where: str = ""
+) -> TraceFormatError:
+    """The error for a free of object ``obj_id`` with no live allocation.
+
+    Named by the file for a file source, else by program/dataset;
+    ``where`` narrows the message (the sharded engine says which shards
+    it searched).
+    """
+    name = getattr(source, "path", None)
+    if name is None:
+        header = source.header
+        name = f"{header.program}/{header.dataset}"
+    return TraceFormatError(
+        f"{name}: free of object {obj_id} with no allocation{where}"
+    )
+
+
 def build_trace(source: EventSource) -> Trace:
     """Materialize an event stream back into an in-memory :class:`Trace`.
 
@@ -257,7 +294,10 @@ def build_trace(source: EventSource) -> Trace:
             touches.append(0)
             events.append((obj_id << 2) | EV_ALLOC)
         elif tag == EV_FREE:
-            deaths[obj_id] = ev[2]
+            try:
+                deaths[obj_id] = ev[2]
+            except IndexError:
+                raise orphan_free_error(source, obj_id) from None
             touches[obj_id] = ev[3]
             events.append((obj_id << 2) | EV_FREE)
         else:
@@ -307,7 +347,10 @@ def iter_object_lifetimes(
         if tag == EV_ALLOC:
             live[ev[1]] = (ev[2], ev[3], ev[4])
         elif tag == EV_FREE:
-            chain_id, size, birth = live.pop(ev[1])
+            try:
+                chain_id, size, birth = live.pop(ev[1])
+            except KeyError:
+                raise orphan_free_error(source, ev[1]) from None
             yield (chain_id, size, ev[2] - birth, ev[3])
     summary = source.summary
     end_time = summary.end_time
@@ -337,7 +380,10 @@ def iter_object_records(
         if tag == EV_ALLOC:
             live[ev[1]] = (ev[2], ev[3], ev[4])
         elif tag == EV_FREE:
-            chain_id, size, birth = live.pop(ev[1])
+            try:
+                chain_id, size, birth = live.pop(ev[1])
+            except KeyError:
+                raise orphan_free_error(source, ev[1]) from None
             yield (ev[1], chain_id, size, birth, ev[2], ev[3])
     summary = source.summary
     end_time = summary.end_time
@@ -366,7 +412,10 @@ def stream_live_stats(source: EventSource) -> LiveStats:
         if tag == EV_TOUCH:
             continue
         if tag == EV_FREE:
-            live_bytes -= live_sizes.pop(ev[1])
+            try:
+                live_bytes -= live_sizes.pop(ev[1])
+            except KeyError:
+                raise orphan_free_error(source, ev[1]) from None
             live_objects -= 1
         else:
             live_sizes[ev[1]] = ev[3]

@@ -24,10 +24,11 @@ Writes go through :func:`repro.runtime.tracefile.atomic_output` — the
 same temp-file + ``os.replace`` path as the v2 writer — and gzip with
 ``mtime=0``, so a given stream always produces byte-identical files and
 an interrupted write never publishes a partial one.  Reads validate the
-magic, the trailer, every frame boundary, and the final event count
-against the footer: a truncated or corrupt mid-stream chunk raises
-:class:`~repro.runtime.tracefile.TraceFormatError`, never a silently
-short trace.
+magic, the trailer, every frame boundary, every frame's gzip member
+(header, padding, CRC and length; see :func:`_gunzip`), and the final
+event count against the footer: a truncated or corrupt mid-stream chunk
+raises :class:`~repro.runtime.tracefile.TraceFormatError`, never a
+silently short trace.
 """
 
 from __future__ import annotations
@@ -75,6 +76,17 @@ _KIND_FOOTER = b"F"
 
 #: Expected tuple length per event tag (frame validation).
 _EVENT_LENGTHS = {EV_ALLOC: 5, EV_FREE: 4, EV_TOUCH: 3}
+
+#: The fixed start of every frame's gzip member: magic, deflate, no
+#: flags, mtime 0.  The two bytes after it (XFL from the compression
+#: level, OS from the zlib build) vary by writer, so a file's frames
+#: must instead all agree with each other.
+_GZIP_FIXED = b"\x1f\x8b\x08\x00\x00\x00\x00\x00"
+_GZIP_HEADER_SIZE = 10
+#: gzip trailer: CRC-32 and length (mod 2**32) of the inflated data.
+_GZIP_TRAILER = struct.Struct("<II")
+#: Offset of the header frame's gzip header (after magic + frame head).
+_FIRST_GZIP_HEADER = len(tracefile.V3_MAGIC) + _FRAME.size
 
 
 def _pack_frame(kind: bytes, doc: dict) -> bytes:
@@ -152,6 +164,8 @@ class TraceFileSource(EventSource):
     Opening reads only the header and footer frames (via the trailer),
     then closes the file; every :meth:`events` call opens its own
     handle, so one source supports repeated and concurrent replays.
+    The source fixes the file's identity at open time, so it also
+    carries the file's lifetime census memo (one pass per threshold).
     """
 
     def __init__(self, path: "tracefile.PathLike"):
@@ -183,15 +197,21 @@ class TraceFileSource(EventSource):
                     f"{self.path}: footer offset {footer_offset} outside file"
                 )
             self._data_end = footer_offset
+            fh.seek(_FIRST_GZIP_HEADER)
+            self._gzip_header = _read_gzip_header(fh, self.path)
             fh.seek(footer_offset)
-            kind, footer_doc = _read_frame(fh, self.path, size - _TRAILER.size)
+            kind, footer_doc = _read_frame(
+                fh, self.path, size - _TRAILER.size, self._gzip_header
+            )
             if kind != _KIND_FOOTER:
                 raise tracefile.TraceFormatError(
                     f"{self.path}: expected footer frame at {footer_offset}, "
                     f"got kind {kind!r}"
                 )
             fh.seek(len(tracefile.V3_MAGIC))
-            kind, header_doc = _read_frame(fh, self.path, footer_offset)
+            kind, header_doc = _read_frame(
+                fh, self.path, footer_offset, self._gzip_header
+            )
             if kind != _KIND_HEADER:
                 raise tracefile.TraceFormatError(
                     f"{self.path}: expected header frame, got kind {kind!r}"
@@ -251,7 +271,9 @@ class TraceFileSource(EventSource):
         with open(self.path, "rb") as fh:
             fh.seek(self._first_event_offset)
             while fh.tell() < self._data_end:
-                kind, doc = _read_frame(fh, self.path, self._data_end)
+                kind, doc = _read_frame(
+                    fh, self.path, self._data_end, self._gzip_header
+                )
                 if kind != _KIND_EVENTS:
                     raise tracefile.TraceFormatError(
                         f"{self.path}: unexpected {kind!r} frame in the "
@@ -285,8 +307,9 @@ def read_chunk_events(
     ``offset`` and ``count`` come straight from a
     :attr:`TraceFileSource.chunk_index` entry and ``data_end`` from
     :attr:`TraceFileSource.data_end`; validation matches the serial
-    reader's (frame kind, per-event tuple shapes) plus the index's own
-    declared event count, so a corrupted index entry raises
+    reader's (frame kind, gzip member checked against the header
+    frame's, per-event tuple shapes) plus the index's own declared event
+    count, so a corrupted index entry raises
     :class:`~repro.runtime.tracefile.TraceFormatError` instead of
     silently mis-partitioning a sharded replay.  This is the worker-side
     primitive of :mod:`repro.runtime.shard`: it needs no state beyond
@@ -295,8 +318,10 @@ def read_chunk_events(
     """
     name = os.fspath(path)
     with open(name, "rb") as fh:
+        fh.seek(_FIRST_GZIP_HEADER)
+        gzip_header = _read_gzip_header(fh, name)
         fh.seek(offset)
-        kind, doc = _read_frame(fh, name, data_end)
+        kind, doc = _read_frame(fh, name, data_end, gzip_header)
     if kind != _KIND_EVENTS:
         raise tracefile.TraceFormatError(
             f"{name}: chunk index points at a {kind!r} frame at "
@@ -323,14 +348,91 @@ def read_chunk_events(
     return tuple(out)
 
 
+def _read_gzip_header(fh: BinaryIO, path: str) -> bytes:
+    """The file's gzip member header, read at the current offset.
+
+    Every frame of one file carries the same one (see
+    :func:`_gunzip`), so this is read once, from the header frame, and
+    each frame is checked against it.
+    """
+    header = fh.read(_GZIP_HEADER_SIZE)
+    if len(header) != _GZIP_HEADER_SIZE or not header.startswith(_GZIP_FIXED):
+        raise tracefile.TraceFormatError(
+            f"{path}: corrupt frame payload: not a gzip member "
+            f"written by this format"
+        )
+    return header
+
+
+def _gunzip(payload: bytes, path: str, gzip_header: bytes) -> bytes:
+    """Inflate one frame payload, accepting only what the writer emits.
+
+    :func:`gzip.decompress` forgives what damage looks like: header
+    fields it never checks (flags, mtime, XFL, OS), trailing NULs,
+    concatenated members, and stray bits after the final deflate block.
+    Any of those would let a damaged file decode silently.  Here the
+    payload must be exactly one member whose header equals the file's
+    ``gzip_header``, whose deflate stream ends right at the trailer with
+    zero padding bits, and whose CRC-32 and length match.
+    """
+    size = len(payload)
+    if (size < _GZIP_HEADER_SIZE + 1 + _GZIP_TRAILER.size
+            or payload[:_GZIP_HEADER_SIZE] != gzip_header):
+        raise tracefile.TraceFormatError(
+            f"{path}: corrupt frame payload: gzip header differs from "
+            f"the file's"
+        )
+    body = memoryview(payload)[_GZIP_HEADER_SIZE:size - _GZIP_TRAILER.size]
+    inflater = zlib.decompressobj(-zlib.MAX_WBITS)
+    try:
+        data = inflater.decompress(body[:-1])
+        before_last = inflater.copy()
+        tail = inflater.decompress(body[-1:])
+    except zlib.error as exc:
+        raise tracefile.TraceFormatError(
+            f"{path}: corrupt frame payload: {exc}"
+        ) from exc
+    if not inflater.eof or inflater.unused_data:
+        raise tracefile.TraceFormatError(
+            f"{path}: corrupt frame payload: deflate stream does not end "
+            f"at the gzip trailer"
+        )
+    data += tail
+    crc, length = _GZIP_TRAILER.unpack(payload[size - _GZIP_TRAILER.size:])
+    if crc != zlib.crc32(data) or length != len(data) & 0xFFFFFFFF:
+        raise tracefile.TraceFormatError(
+            f"{path}: corrupt frame payload: CRC or length mismatch"
+        )
+    # The final block ends inside the last byte; zlib pads the rest with
+    # zero bits.  The fewest low bits that still end the stream with the
+    # same output are the used ones, and every bit above them must be
+    # zero.
+    last = body[-1]
+    for used in range(1, 8):
+        if not last >> used:
+            break
+        trial = before_last.copy()
+        try:
+            ending = trial.decompress(bytes((last & ((1 << used) - 1),)))
+        except zlib.error:
+            continue
+        if trial.eof and ending == tail:
+            raise tracefile.TraceFormatError(
+                f"{path}: corrupt frame payload: nonzero padding after "
+                f"the final deflate block"
+            )
+    return data
+
+
 def _read_frame(
-    fh: BinaryIO, path: str, limit: int
+    fh: BinaryIO, path: str, limit: int, gzip_header: bytes
 ) -> Tuple[bytes, dict]:
     """Read one frame; every failure mode is a :class:`TraceFormatError`.
 
     ``limit`` is the first offset past the region this frame must fit in
     (the footer offset for event frames), so a corrupted length field
-    cannot silently read into the footer or past EOF.
+    cannot silently read into the footer or past EOF; ``gzip_header`` is
+    the file's (see :func:`_gunzip`).
     """
     raw = fh.read(_FRAME.size)
     if len(raw) != _FRAME.size:
@@ -350,15 +452,10 @@ def _read_frame(
             f"{path}: truncated frame payload "
             f"({len(payload)} of {length} bytes)"
         )
-    try:
-        data = gzip.decompress(payload)
-    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        raise tracefile.TraceFormatError(
-            f"{path}: corrupt frame payload: {exc}"
-        ) from exc
+    data = _gunzip(payload, path, gzip_header)
     try:
         doc = json.loads(data)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise tracefile.TraceFormatError(
             f"{path}: frame is not valid JSON: {exc}"
         ) from exc

@@ -65,8 +65,10 @@ def evaluate_spec(
 
     The predictor is resolved the way the spec asks
     (:meth:`TraceStore.predictor_for`), then both the replay and the
-    attribution fold consume the store's event source — materialized or
-    sharded-streaming, whichever the store was built for.
+    attribution consume the store's event source — materialized or
+    sharded-streaming, whichever the store was built for.  Attribution
+    prices the source's memoized lifetime census, so only the first
+    candidate at a threshold pays an object pass for it.
     """
     predictor = store.predictor_for(program, spec)
     with TRACER.span(

@@ -20,9 +20,9 @@ from repro.alloc.costs import DEFAULT_COST_MODEL
 from repro.cli import main
 from repro.core.predictor import train_site_predictor
 from repro.obs.attrib import (
-    AttributionFold,
     attribute_sites,
     export_attribution,
+    price_census,
     render_attrib,
     write_attrib_json,
 )
@@ -33,7 +33,7 @@ from repro.obs.diff import (
     diff_paths,
     render_diff_report,
 )
-from repro.runtime.shard import ShardedTraceSource
+from repro.runtime.shard import PairCensusFold, ShardedTraceSource
 from repro.runtime.stream.protocol import (
     TraceEventSource,
     as_event_source,
@@ -150,21 +150,22 @@ class TestAttributionFold:
     ):
         header = as_event_source(trace).header
 
-        def fold_of(items):
-            fold = AttributionFold(header.chains, "bsd",
-                                   threshold=THRESHOLD)
+        def census_of(items):
+            census = PairCensusFold(THRESHOLD)
             for chain_id, size, life, touches in items:
-                fold.add(chain_id, size, life, touches)
-            return fold
+                census.add(chain_id, size, life, touches)
+            return census
 
-        serial = fold_of(lifetimes)
+        serial = census_of(lifetimes)
         half = len(lifetimes) // 2
-        ab = fold_of(lifetimes[:half])
-        ab.merge(fold_of(lifetimes[half:]))
-        ba = fold_of(lifetimes[half:])
-        ba.merge(fold_of(lifetimes[:half]))
-        as_dict = lambda fold: {  # noqa: E731 - tiny local projection
-            cid: site.to_dict() for cid, site in fold.sites.items()
+        ab = census_of(lifetimes[:half])
+        ab.merge(census_of(lifetimes[half:]))
+        ba = census_of(lifetimes[half:])
+        ba.merge(census_of(lifetimes[:half]))
+        as_dict = lambda census: {  # noqa: E731 - tiny local projection
+            cid: site.to_dict()
+            for cid, site in price_census(census, header.chains,
+                                          "bsd").items()
         }
         assert as_dict(ab) == as_dict(serial)
         assert as_dict(ba) == as_dict(serial)

@@ -1,15 +1,19 @@
-"""Per-pair lifetime folds against a per-object reference.
+"""The lifetime census against per-object references.
 
-Training and evaluation fold each raw ``(chain id, size)`` pair and key
-it once (:mod:`repro.runtime.shard.folds`).  These properties check, on
-random small event streams, that doing so changes nothing: the folds'
-predictors and evaluations must equal a reference that calls
-``site_key`` on every object, serially and over ``shard_jobs=2``.
+Every lifetime-only result — site, CCE, multiclass and size-only
+training, evaluation, the oracle and per-site attribution — is a
+reduction of one per-pair census (:class:`~repro.runtime.shard.folds.
+PairCensusFold`), memoized per trace and threshold.  These properties
+check, on random small event streams, that doing so changes nothing:
+each reduction must equal a reference written here that visits every
+object (``site_key`` per object, per-object pricing), serially,
+streamed, over a random two-way merge, and over ``shard_jobs=2``.
 
-The second half checks the verdict memo on
-:meth:`~repro.core.predictor.LifetimePredictor.predicts_short_lived`:
-it must never reach a saved database or a pickle, and it must key on
-the chain's value, not its identity.
+The census memo must fold one pass per (trace, threshold), be shared by
+every view of one trace, and never reach a pickle.  The verdict memo on
+:meth:`~repro.core.predictor.LifetimePredictor.predicts_short_lived`
+must never reach a saved database or a pickle, and it must key on the
+chain's value, not its identity.
 """
 
 from __future__ import annotations
@@ -23,9 +27,13 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.alloc.bsd import bucket_for
+from repro.alloc.costs import DEFAULT_COST_MODEL
+from repro.alloc.firstfit import ALIGNMENT, HEADER_SIZE
 from repro.alloc.spec import PAPER_DEFAULT_SPEC
+from repro.analysis.experiments import TraceStore
 from repro.analysis.simulate import simulate_spec
-from repro.core.cce import train_cce_predictor
+from repro.core.cce import encrypt_chain, train_cce_predictor
 from repro.core.database import save_predictor
 from repro.core.multiclass import train_multiclass_predictor
 from repro.core.predictor import (
@@ -38,19 +46,25 @@ from repro.core.predictor import (
     train_site_predictor,
     train_size_only_predictor,
 )
-from repro.core.sites import FULL_CHAIN, prune_recursive_cycles, site_key
+from repro.core.sites import (
+    FULL_CHAIN,
+    prune_recursive_cycles,
+    round_size,
+    site_key,
+)
+from repro.obs.attrib import ATTRIB_PROFILES, attribute_sites
 from repro.runtime.heap import TracedHeap
 from repro.runtime.shard import (
-    EvaluateFold,
+    PairCensusFold,
     ShardedTraceSource,
-    SiteSelectFold,
-    SizeOnlyFold,
+    lifetime_census,
 )
 from repro.runtime.stream.protocol import (
+    EventSource,
     TraceEventSource,
     iter_object_lifetimes,
 )
-from repro.runtime.stream.v3 import write_trace_v3
+from repro.runtime.stream.v3 import TraceFileSource, write_trace_v3
 from tests.conftest import make_churn_trace
 
 LEVELS = [
@@ -192,9 +206,79 @@ def reference_evaluate(predictor, trace):
     )
 
 
-def check_against_reference(trace, source, permille, levels, seed):
-    """Train and evaluate on ``source``; compare with the references."""
-    threshold = pick_threshold(trace, permille)
+def reference_cce(trace, threshold, rounding=4):
+    all_short = {}
+    for chain, size, lifetime, _ in objects(trace):
+        key = (encrypt_chain(chain), round_size(size, rounding))
+        all_short[key] = all_short.get(key, True) and lifetime < threshold
+    return frozenset(key for key, short in all_short.items() if short)
+
+
+def reference_classes(trace, ladder, length, rounding):
+    longest = {}
+    for chain, size, lifetime, _ in objects(trace):
+        key = site_key(chain, size, length=length, size_rounding=rounding)
+        longest[key] = max(longest.get(key, lifetime), lifetime)
+    classes = {}
+    for key, lifetime in longest.items():
+        for klass, bound in enumerate(ladder):
+            if lifetime < bound:
+                classes[key] = klass
+                break
+    return classes
+
+
+def reference_attribution(trace, profile, predictor, threshold):
+    """Per-object pricing: each object one alloc/free pair, no census."""
+    model = DEFAULT_COST_MODEL
+    sites = {}
+    for chain, size, lifetime, touches in objects(trace):
+        site = sites.setdefault(chain, dict.fromkeys((
+            "objects", "bytes", "touches", "short_objects", "short_bytes",
+            "predicted_objects", "alloc_instr", "free_instr",
+            "occupancy_byte_time", "frag_bytes", "frag_byte_time",
+            "late_free", "late_free_byte_time", "missed_short",
+            "missed_short_bytes"), 0))
+        short = lifetime < threshold
+        ff_padding = -(-size // ALIGNMENT) * ALIGNMENT + HEADER_SIZE - size
+        site["objects"] += 1
+        site["bytes"] += size
+        site["touches"] += touches
+        site["occupancy_byte_time"] += size * lifetime
+        site["short_objects"] += short
+        site["short_bytes"] += size if short else 0
+        if profile == "bsd":
+            alloc, free = model.bsd_alloc_base, model.bsd_free
+            frag = (1 << bucket_for(size)) - size
+        elif profile == "firstfit":
+            alloc, free = model.ff_alloc_base, model.ff_free_base
+            frag = ff_padding
+        elif predictor is not None and predictor.predicts_short_lived(
+                chain, size):
+            site["predicted_objects"] += 1
+            alloc = model.predict + model.arena_bump
+            free, frag = model.arena_free, 0
+            if not short:
+                site["late_free"] += 1
+                site["late_free_byte_time"] += size * (lifetime - threshold)
+        else:
+            alloc = model.predict + model.ff_alloc_base
+            free, frag = model.ff_free_base, ff_padding
+            if short:
+                site["missed_short"] += 1
+                site["missed_short_bytes"] += size
+        site["alloc_instr"] += alloc
+        site["free_instr"] += free
+        site["frag_bytes"] += frag
+        site["frag_byte_time"] += frag * lifetime
+    for site in sites.values():
+        site["total_instr"] = site["alloc_instr"] + site["free_instr"]
+        site["mispredictions"] = site["late_free"] + site["missed_short"]
+    return sites
+
+
+def check_against_reference(trace, source, threshold, levels, seed):
+    """Every census reduction on ``source`` against the references."""
     for length, rounding in levels:
         site = train_site_predictor(source, threshold=threshold,
                                     chain_length=length,
@@ -202,6 +286,14 @@ def check_against_reference(trace, source, permille, levels, seed):
         assert site.sites == reference_sites(trace, threshold, length,
                                              rounding), (length, rounding)
         assert evaluate(site, source) == reference_evaluate(site, trace)
+        ladder = (threshold, threshold * 2 + 1)
+        classes = train_multiclass_predictor(
+            source, thresholds=ladder, chain_length=length,
+            size_rounding=rounding,
+        ).site_classes
+        assert classes == reference_classes(trace, ladder, length, rounding)
+    assert train_cce_predictor(source, threshold=threshold).keys == (
+        reference_cce(trace, threshold))
     size_only = train_size_only_predictor(source, threshold=threshold)
     assert size_only.sizes == reference_sizes(trace, threshold)
     assert evaluate(size_only, source) == reference_evaluate(size_only, trace)
@@ -211,6 +303,17 @@ def check_against_reference(trace, source, permille, levels, seed):
         size for _, size, lifetime, _ in objects(trace)
         if lifetime < threshold
     )
+    site = train_site_predictor(source, threshold=threshold)
+    for profile in ATTRIB_PROFILES:
+        for predictor in (None, site, static):
+            priced = attribute_sites(source, profile=profile,
+                                     predictor=predictor,
+                                     threshold=threshold)
+            assert priced.threshold == threshold
+            assert {chain: record.to_dict()
+                    for chain, record in priced.sites.items()} == (
+                reference_attribution(trace, profile, predictor, threshold)
+            ), (profile, predictor)
 
 
 class TestPairFoldsMatchPerObjectReference:
@@ -218,21 +321,27 @@ class TestPairFoldsMatchPerObjectReference:
     @given(ops, thresholds, st.integers(0, 2**16))
     def test_serial(self, seq, permille, seed):
         trace = build_trace(seq)
-        check_against_reference(trace, trace, permille, LEVELS, seed)
+        check_against_reference(trace, trace, pick_threshold(trace, permille),
+                                LEVELS, seed)
 
     @settings(max_examples=30, deadline=None)
     @given(ops, thresholds, st.integers(0, 2**16))
     def test_serial_stream(self, seq, permille, seed):
         trace = build_trace(seq)
-        check_against_reference(trace, TraceEventSource(trace), permille,
-                                LEVELS, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "prop.rtr3"
+            write_trace_v3(TraceEventSource(trace), path, chunk_events=3)
+            check_against_reference(trace, TraceFileSource(path),
+                                    pick_threshold(trace, permille),
+                                    LEVELS, seed)
 
     @settings(max_examples=100, deadline=None)
     @given(ops, thresholds, st.integers(0, 2**16))
     def test_merged_partition(self, seq, permille, seed):
         """Any two-way split of the objects, folded apart and merged in
-        either order, equals the reference — the shard engine's merge
-        contract without the process pool."""
+        either order, reduces to the references — the shard engine's
+        merge contract without the process pool.  The merged census is
+        planted in the trace's memo, so every consumer reads it."""
         trace = build_trace(seq)
         threshold = pick_threshold(trace, permille)
         rng = random.Random(seed)
@@ -240,8 +349,8 @@ class TestPairFoldsMatchPerObjectReference:
         for record in iter_object_lifetimes(TraceEventSource(trace)):
             halves[rng.random() < 0.5].append(record)
 
-        def merged(factory, flip):
-            folds = [factory(), factory()]
+        def merged(flip):
+            folds = [PairCensusFold(threshold), PairCensusFold(threshold)]
             for fold, records in zip(folds, halves):
                 for record in records:
                     fold.add(*record)
@@ -250,24 +359,10 @@ class TestPairFoldsMatchPerObjectReference:
             return first
 
         for flip in (False, True):
-            for length, rounding in LEVELS:
-                fold = merged(lambda: SiteSelectFold(
-                    trace.chains, length, rounding), flip)
-                assert fold.short_lived_sites(threshold) == reference_sites(
-                    trace, threshold, length, rounding)
-            sizes = merged(lambda: SizeOnlyFold(threshold), flip)
-            assert sizes.short_lived_sizes() == reference_sizes(
-                trace, threshold)
-            source = TraceEventSource(trace)
-            for predictor in (
-                train_site_predictor(trace, threshold=threshold),
-                train_size_only_predictor(trace, threshold=threshold),
-                static_predictor(trace, seed, threshold),
-            ):
-                fold = merged(lambda: EvaluateFold(predictor, trace.chains),
-                              flip)
-                assert fold.result(source.header, source.summary) == (
-                    reference_evaluate(predictor, trace))
+            census = merged(flip)
+            trace._census = {threshold: census}
+            check_against_reference(trace, trace, threshold, LEVELS, seed)
+            assert trace._census == {threshold: census}
 
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -279,7 +374,101 @@ class TestPairFoldsMatchPerObjectReference:
             # Tiny chunks, so objects routinely cross shard boundaries.
             write_trace_v3(TraceEventSource(trace), path, chunk_events=3)
             source = ShardedTraceSource(path, jobs=2)
-            check_against_reference(trace, source, permille, [level], seed)
+            check_against_reference(trace, source,
+                                    pick_threshold(trace, permille),
+                                    [level], seed)
+
+
+# ----------------------------------------------------------------------
+# The census memo
+# ----------------------------------------------------------------------
+
+class CountingSource(EventSource):
+    """Wraps a source and counts full passes over its events."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.passes = 0
+
+    @property
+    def header(self):
+        return self.inner.header
+
+    @property
+    def summary(self):
+        return self.inner.summary
+
+    def events(self):
+        self.passes += 1
+        return self.inner.events()
+
+
+def _lifetime_consumers(source, threshold):
+    """Train, train size-only, evaluate ten times, oracle, attribute."""
+    site = train_site_predictor(source, threshold=threshold)
+    size_only = train_size_only_predictor(source, threshold=threshold)
+    for _ in range(5):
+        evaluate(site, source)
+        evaluate(size_only, source)
+    actual_short_lived_bytes(source, threshold)
+    attribute_sites(source, predictor=site)
+
+
+class TestCensusMemo:
+    def test_one_pass_per_threshold(self, tmp_path):
+        trace = make_churn_trace()
+        path = tmp_path / "churn.rtr3"
+        write_trace_v3(TraceEventSource(trace), path, chunk_events=64)
+        for inner in (TraceEventSource(trace), TraceFileSource(path)):
+            source = CountingSource(inner)
+            _lifetime_consumers(source, 4096)
+            assert source.passes == 1
+            _lifetime_consumers(source, 4096)
+            train_cce_predictor(source, threshold=4096)
+            train_multiclass_predictor(source)
+            assert source.passes == 1
+            _lifetime_consumers(source, 8192)
+            assert source.passes == 2
+
+    def test_trace_views_share_one_census(self, monkeypatch):
+        trace = make_churn_trace()
+        passes = []
+        events = TraceEventSource.events
+
+        def counting(self):
+            passes.append(1)
+            return events(self)
+
+        monkeypatch.setattr(TraceEventSource, "events", counting)
+        census = lifetime_census(TraceEventSource(trace), 4096)
+        assert lifetime_census(trace, 4096) is census
+        assert lifetime_census(TraceEventSource(trace), 4096) is census
+        assert lifetime_census(TraceEventSource(trace)) is census
+        _lifetime_consumers(TraceEventSource(trace), 4096)
+        assert len(passes) == 1
+
+    def test_pickle_carries_no_census(self, tmp_path):
+        trace = make_churn_trace()
+        path = tmp_path / "churn.rtr3"
+        write_trace_v3(TraceEventSource(trace), path, chunk_events=64)
+        for holder in (trace, TraceFileSource(path),
+                       ShardedTraceSource(path, jobs=2)):
+            cold = pickle.dumps(holder)
+            census = lifetime_census(holder, 4096)
+            assert census.pairs and holder._census
+            assert pickle.dumps(holder) == cold
+            clone = pickle.loads(cold)
+            assert "_census" not in vars(clone)
+            assert lifetime_census(clone, 4096).pairs == census.pairs
+            assert lifetime_census(clone, 4096) is not census
+
+    def test_streaming_store_hands_out_one_source(self, tmp_path):
+        store = TraceStore(scale=0.02, cache_dir=tmp_path, streaming=True)
+        source = store.source("cfrac", "tiny")
+        assert isinstance(source, TraceFileSource)
+        assert store.source("cfrac", "tiny") is source
+        census = lifetime_census(source, 4096)
+        assert lifetime_census(store.source("cfrac", "tiny"), 4096) is census
 
 
 # ----------------------------------------------------------------------

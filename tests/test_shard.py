@@ -24,8 +24,8 @@ from repro.core.predictor import (
 )
 from repro.obs.metrics import Metrics
 from repro.runtime.shard import (
+    PairCensusFold,
     ShardedTraceSource,
-    ShortBytesFold,
     fold_object_lifetimes,
     plan_shards,
 )
@@ -158,14 +158,14 @@ class TestShardedSource:
         sharded = ShardedTraceSource(path, jobs=3)
         assert list(sharded.events()) == list(serial.events())
         fold = fold_object_lifetimes(
-            sharded, lambda: ShortBytesFold(THRESHOLD)
+            sharded, lambda: PairCensusFold(THRESHOLD)
         )
         expected = sum(
             size
             for _, size, lifetime, _ in iter_object_lifetimes(serial)
             if lifetime < THRESHOLD
         )
-        assert fold.total == expected
+        assert fold.short_bytes() == expected
 
     def test_bad_jobs_rejected(self, churn_v3):
         with pytest.raises(ValueError, match="jobs"):
@@ -189,7 +189,7 @@ class TestShardWorker:
         data_end = serial_source.data_end
         results = [
             _shard_worker(str(churn_v3), data_end, shard,
-                          ShortBytesFold(THRESHOLD))
+                          PairCensusFold(THRESHOLD))
             for shard in shards
         ]
         for index, (_, opens, closes, _) in enumerate(results):
@@ -212,7 +212,7 @@ class TestShardWorker:
         source = ShardedTraceSource(churn_v3, jobs=2)
         with pytest.raises(TraceFormatError, match="no allocation"):
             fold_object_lifetimes(
-                source, lambda: ShortBytesFold(THRESHOLD), jobs=2
+                source, lambda: PairCensusFold(THRESHOLD), jobs=2
             )
 
 
@@ -250,14 +250,14 @@ class TestFoldParity:
         trace = make_churn_trace(objects=80)
         source = TraceEventSource(trace)
         fold = fold_object_lifetimes(
-            source, lambda: ShortBytesFold(THRESHOLD), jobs=4
+            source, lambda: PairCensusFold(THRESHOLD), jobs=4
         )
         expected = sum(
             size
             for _, size, lifetime, _ in iter_object_lifetimes(source)
             if lifetime < THRESHOLD
         )
-        assert fold.total == expected
+        assert fold.short_bytes() == expected
 
     def test_simulations_identical(self, serial_source, sharded_source):
         assert simulate_firstfit(sharded_source) == simulate_firstfit(
@@ -285,7 +285,7 @@ class TestWorkerSpans:
         try:
             source = ShardedTraceSource(churn_v3, jobs=2)
             fold_object_lifetimes(
-                source, lambda: ShortBytesFold(THRESHOLD), jobs=2
+                source, lambda: PairCensusFold(THRESHOLD), jobs=2
             )
             folds = TRACER.find("shard.fold")
         finally:
@@ -318,7 +318,7 @@ class TestWorkerSpans:
         assert not TRACER.enabled
         source = ShardedTraceSource(churn_v3, jobs=2)
         fold_object_lifetimes(
-            source, lambda: ShortBytesFold(THRESHOLD), jobs=2
+            source, lambda: PairCensusFold(THRESHOLD), jobs=2
         )
         assert TRACER.spans == []
 
@@ -330,7 +330,7 @@ class TestWorkerSpans:
         try:
             source = ShardedTraceSource(churn_v3, jobs=2)
             fold_object_lifetimes(
-                source, lambda: ShortBytesFold(THRESHOLD), jobs=2
+                source, lambda: PairCensusFold(THRESHOLD), jobs=2
             )
             document = chrome_trace(TRACER)
         finally:
