@@ -16,8 +16,8 @@ Each row reports prediction *coverage* (correctly-predicted short bytes
 as a fraction of all bytes), *accuracy* (correct short predictions as a
 fraction of all short predictions — the soundness-facing number), and
 the arena simulation's maximum heap size under each predictor.  The
-rendering is deterministic: byte-identical across the materialized,
-``--stream`` and ``--jobs N`` replay modes, which CI gates.
+rendering is deterministic: byte-identical between serial and
+``--jobs N`` (sharded) lifetime folds.
 """
 
 from __future__ import annotations
@@ -131,9 +131,8 @@ def escape_eval(
     ``store`` is a :class:`~repro.analysis.experiments.TraceStore`; the
     trained predictor comes from its ``train`` execution and everything
     is evaluated on ``test``.  The oracle needs random access to object
-    lifetimes, so its replay always materializes the evaluation trace —
-    the streamed modes differ only in how the other replays are fed,
-    never in what this function returns.
+    lifetimes, so its replay reads the store's in-memory copy of the
+    evaluation trace; the other replays consume the store's source.
     """
     rows: List[EscapeEvalRow] = []
     for program in (programs if programs is not None else store.programs):

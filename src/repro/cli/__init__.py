@@ -6,7 +6,7 @@ Mirrors the paper's workflow as subcommands::
     repro-alloc convert gawk-train.json.gz gawk-train.rtr3
     repro-alloc profile gawk-train.rtr3 -o gawk.sites
     repro-alloc predict gawk.sites gawk-test.rtr3
-    repro-alloc simulate gawk-test.rtr3 --sites gawk.sites --stream
+    repro-alloc simulate gawk-test.rtr3 --sites gawk.sites
     repro-alloc quantiles gawk-test.rtr3
     repro-alloc sites gawk-test.json.gz --top 10
     repro-alloc warm --jobs 4
@@ -14,7 +14,7 @@ Mirrors the paper's workflow as subcommands::
     repro-alloc stats --program gawk
     repro-alloc stats --program gawk --json --diff old-summary.json
     repro-alloc timeline --program gawk --allocator arena
-    repro-alloc profile-sites --program gawk --stream --jobs 2
+    repro-alloc profile-sites --program gawk --jobs 2
     repro-alloc windows --program gawk --windows 16 --by bytes --json
     repro-alloc report --program gawk --html gawk-report.html
     repro-alloc diff-sessions old.attrib.json new.attrib.json
@@ -34,9 +34,9 @@ Mirrors the paper's workflow as subcommands::
 rewrites a trace between the v2 (monolithic JSON) and v3 (chunked,
 streamable) formats; ``profile`` trains a short-lived site database from
 a trace; ``predict`` scores a database against a trace (Table 4's
-columns); ``simulate`` replays a trace against an allocator (with
-``--stream``, through the constant-memory event pipeline — ``table`` and
-``stats`` take the same flag); ``warm`` populates the persistent trace
+columns); ``simulate`` replays a trace against an allocator (a v3
+file streams through the constant-memory event pipeline, one chunk at
+a time); ``warm`` populates the persistent trace
 cache (optionally in parallel); ``table`` regenerates the paper's
 tables; ``stats`` and ``timeline`` replay one workload with the
 telemetry recorder attached and report per-site mispredictions or the

@@ -14,20 +14,16 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro import cli as _cli
 from repro.analysis import TraceStore
 from repro.obs import DEFAULT_SAMPLE_INTERVAL
-from repro.obs.metrics import record_peak_rss
 from repro.workloads.registry import PROGRAM_ORDER
 
 __all__ = [
     "jobs_count",
     "_add_store_options",
     "_add_predictor_option",
-    "_add_stream_option",
     "_add_telemetry_options",
     "_make_store",
-    "_report_peak_rss",
     "_write_report",
 ]
 
@@ -55,9 +51,11 @@ def _add_store_options(
 ) -> None:
     """The trace-store flags every store-backed subcommand shares.
 
-    ``warm``/``table`` fan work out across processes and also take
-    ``--jobs``; ``stats``/``timeline`` replay a single execution and
-    only need the scale and cache knobs.
+    Commands that fan work out across processes or shard a lifetime fold
+    (``warm``, ``table``, ``profile-sites``, ``windows``,
+    ``escape-eval``, ``search run``) also take ``--jobs``; the output
+    never depends on it.  ``stats``/``timeline`` replay a single
+    execution in order and only need the scale and cache knobs.
     """
     sub.add_argument("--scale", type=float, default=1.0,
                      help="workload scale factor (default 1.0)")
@@ -68,7 +66,8 @@ def _add_store_options(
                      help="bypass the persistent trace cache")
     if jobs:
         sub.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                         help="worker processes (default 1: serial)")
+                         help="worker processes (default 1: serial); "
+                              "output stays byte-identical")
 
 
 def _add_predictor_option(sub: argparse.ArgumentParser) -> None:
@@ -83,18 +82,6 @@ def _add_predictor_option(sub: argparse.ArgumentParser) -> None:
                      help="arena predictor source (default trained: "
                           "profile the train execution; static: the "
                           "escape-analysis predictor, no profiling run)")
-
-
-def _add_stream_option(sub: argparse.ArgumentParser) -> None:
-    """The ``--stream`` flag shared by ``simulate``/``table``/``stats``.
-
-    Streaming keeps stdout byte-identical to the materialized path; the
-    peak-RSS note demonstrating the memory model goes to stderr.
-    """
-    sub.add_argument("--stream", action="store_true",
-                     help="replay through the constant-memory event "
-                          "stream instead of materializing traces; "
-                          "reports peak RSS on stderr")
 
 
 def _add_telemetry_options(sub: argparse.ArgumentParser) -> None:
@@ -116,32 +103,13 @@ def _add_telemetry_options(sub: argparse.ArgumentParser) -> None:
 
 
 def _make_store(args: argparse.Namespace) -> TraceStore:
-    streaming = getattr(args, "stream", False)
     return TraceStore(
         scale=args.scale,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
-        streaming=streaming,
-        # Sharded decode only exists for file-backed streams; a
-        # materialized store ignores jobs, so don't pass it through.
-        jobs=getattr(args, "jobs", 1) if streaming else 1,
+        jobs=getattr(args, "jobs", 1),
         predictor_mode=getattr(args, "predictor", "trained"),
     )
-
-
-def _report_peak_rss() -> None:
-    """Record and print peak RSS (stderr, so stdout stays byte-identical).
-
-    Prints the registry's gauge rather than the fresh sample so the
-    figure covers merged worker snapshots too — the max across every
-    process that contributed, not just the parent.  The registry is
-    resolved through the package attribute so tests substituting
-    ``repro.cli.METRICS`` observe the same instance the handlers merged
-    into.
-    """
-    record_peak_rss()
-    print(f"peak rss: {_cli.METRICS.counter('peak_rss_kb')} KB",
-          file=sys.stderr)
 
 
 def _write_report(path: str, text: str, label: str) -> None:

@@ -25,11 +25,8 @@ from repro.bench import BenchStore
 from repro.cli._options import (
     _add_predictor_option,
     _add_store_options,
-    _add_stream_option,
     _add_telemetry_options,
     _make_store,
-    _report_peak_rss,
-    jobs_count,
 )
 from repro.core.database import load_predictor
 from repro.obs import (
@@ -85,11 +82,6 @@ def register(sub) -> None:
     stats.add_argument("--json", action="store_true",
                        help="print the machine-readable summary instead "
                             "of the table")
-    _add_stream_option(stats)
-    stats.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                       help="decode trace chunks with N worker processes "
-                            "(needs --stream; output stays "
-                            "byte-identical)")
     stats.add_argument("--diff", metavar="SUMMARY", default=None,
                        help="diff this recorded telemetry summary JSON "
                             "(old) against the current replay (new); "
@@ -132,14 +124,8 @@ def register(sub) -> None:
                                help="where to write the JSON/CSV/"
                                     "collapsed-stack artifacts "
                                     f"(default {DEFAULT_TELEMETRY_DIR})")
-    _add_store_options(profile_sites)
-    _add_stream_option(profile_sites)
+    _add_store_options(profile_sites, jobs=True)
     _add_predictor_option(profile_sites)
-    profile_sites.add_argument("--jobs", type=jobs_count, default=1,
-                               metavar="N",
-                               help="shard the attribution fold over N "
-                                    "worker processes (needs --stream; "
-                                    "output stays byte-identical)")
     profile_sites.set_defaults(handler=_cmd_profile_sites)
 
     windows = sub.add_parser(
@@ -192,12 +178,7 @@ def register(sub) -> None:
                          help="short-fraction boundary a window must "
                               "cross to contradict "
                               f"(default {DEFAULT_FLIP_FRACTION})")
-    _add_store_options(windows)
-    _add_stream_option(windows)
-    windows.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                         help="shard the window fold over N worker "
-                              "processes (needs --stream; output stays "
-                              "byte-identical)")
+    _add_store_options(windows, jobs=True)
     windows.set_defaults(handler=_cmd_windows)
 
     report = sub.add_parser(
@@ -298,10 +279,6 @@ def _replay_with_telemetry(args: argparse.Namespace) -> Telemetry:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError(
-            "stats: --jobs shards the streamed replay; add --stream"
-        )
     telemetry = _replay_with_telemetry(args)
     summary = telemetry_summary(telemetry, top=args.top)
     if args.json:
@@ -316,16 +293,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
         print(render_diff_report(result))
         exit_code = 1 if result.regressed else 0
-    if args.stream:
-        _report_peak_rss()
     return exit_code
 
 
 def _cmd_profile_sites(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError(
-            "profile-sites: --jobs shards the streamed fold; add --stream"
-        )
     store = _make_store(args)
     source = store.source(args.program, args.dataset)
     predictor = None
@@ -345,13 +316,11 @@ def _cmd_profile_sites(args: argparse.Namespace) -> int:
     else:
         print(render_attrib(profile, top=args.top))
     # Artifact notices go to stderr so stdout stays byte-identical
-    # across the materialized / --stream / --jobs replay modes (gated
-    # in CI and tests/test_stream_parity.py).
+    # between serial and --jobs folds (gated in CI and
+    # tests/test_stream_parity.py).
     paths = export_attribution(profile, Path(args.out_dir))
     for kind in sorted(paths):
         print(f"attribution {kind}: {paths[kind]}", file=sys.stderr)
-    if args.stream:
-        _report_peak_rss()
     return 0
 
 
@@ -367,10 +336,6 @@ def _window_basename(profile) -> str:
 
 
 def _cmd_windows(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError(
-            "windows: --jobs shards the streamed fold; add --stream"
-        )
     store = _make_store(args)
     source = store.source(args.program, args.dataset)
     predictor = (
@@ -398,8 +363,8 @@ def _cmd_windows(args: argparse.Namespace) -> int:
         print()
         print(render_drift(drift, top=args.top))
     # Artifact notices go to stderr so stdout stays byte-identical
-    # across the materialized / --stream / --jobs replay modes (gated
-    # in CI and tests/test_stream_parity.py).
+    # between serial and --jobs folds (gated in CI and
+    # tests/test_stream_parity.py).
     out_dir = Path(args.out_dir)
     basename = _window_basename(profile)
     paths = export_windows(profile, out_dir, basename=basename)
@@ -408,8 +373,6 @@ def _cmd_windows(args: argparse.Namespace) -> int:
     )
     for kind in sorted(paths):
         print(f"windows {kind}: {paths[kind]}", file=sys.stderr)
-    if args.stream:
-        _report_peak_rss()
     return 0
 
 

@@ -1,7 +1,7 @@
 """Replay command family: ``simulate`` and ``escape-eval``.
 
-``simulate`` replays a stored trace against an allocator (with
-``--stream``, through the constant-memory event pipeline);
+``simulate`` replays a stored trace against an allocator (a v3 file
+streams through the constant-memory event pipeline);
 ``escape-eval`` scores the static escape predictor against trained
 predictors and the oracle over every workload.
 
@@ -19,19 +19,11 @@ from pathlib import Path
 
 from repro import cli as _cli
 from repro.analysis.escape_eval import escape_eval, render_escape_eval
-from repro.cli._options import (
-    _add_store_options,
-    _add_stream_option,
-    _make_store,
-    _report_peak_rss,
-    jobs_count,
-)
+from repro.cli._options import _add_store_options, _make_store
 from repro.core.database import load_predictor
 from repro.core.predictor import DEFAULT_THRESHOLD
 from repro.obs import DEFAULT_SAMPLE_INTERVAL, Telemetry, export_timeline
-from repro.runtime.shard import ShardedTraceSource
-from repro.runtime.stream.v3 import TraceFileSource
-from repro.runtime.tracefile import load_trace, open_trace_stream
+from repro.runtime.tracefile import open_trace_stream
 from repro.static.escape import build_escape_db
 from repro.workloads.registry import PROGRAM_ORDER
 
@@ -63,11 +55,6 @@ def register_simulate(sub) -> None:
                           default=DEFAULT_SAMPLE_INTERVAL,
                           help="telemetry sample interval in allocations "
                                f"(default {DEFAULT_SAMPLE_INTERVAL})")
-    _add_stream_option(simulate)
-    simulate.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                          help="decode trace chunks with N worker "
-                               "processes (needs --stream and a v3 "
-                               "trace; output stays byte-identical)")
     simulate.set_defaults(handler=_cmd_simulate)
 
 
@@ -91,32 +78,12 @@ def register_escape_eval(sub) -> None:
     escape_cmd.add_argument("--json", action="store_true",
                             help="print the machine-readable comparison "
                                  "instead of the table")
-    _add_store_options(escape_cmd)
-    _add_stream_option(escape_cmd)
-    escape_cmd.add_argument("--jobs", type=jobs_count, default=1,
-                            metavar="N",
-                            help="decode trace chunks with N worker "
-                                 "processes (needs --stream; output "
-                                 "stays byte-identical)")
+    _add_store_options(escape_cmd, jobs=True)
     escape_cmd.set_defaults(handler=_cmd_escape_eval)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError(
-            "simulate: --jobs shards the streamed replay; add --stream"
-        )
-    trace = open_trace_stream(args.trace) if args.stream \
-        else load_trace(args.trace)
-    if args.jobs > 1:
-        if isinstance(trace, TraceFileSource):
-            trace = ShardedTraceSource(args.trace, jobs=args.jobs)
-        else:
-            print(
-                "simulate: --jobs needs a v3 (.rtr3) trace to shard; "
-                "replaying serially",
-                file=sys.stderr,
-            )
+    trace = open_trace_stream(args.trace)
     telemetry = (
         Telemetry(interval=args.interval)
         if args.telemetry_out is not None else None
@@ -127,11 +94,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         result = _cli.simulate_bsd(trace, telemetry=telemetry)
     else:
         if args.predictor == "static":
-            program = (
-                trace.header.program if hasattr(trace, "header")
-                else trace.program
-            )
-            predictor = build_escape_db(program).to_predictor()
+            predictor = build_escape_db(
+                trace.header.program
+            ).to_predictor()
         elif not args.sites:
             raise ValueError(
                 "the arena allocator needs --sites (or --predictor static)"
@@ -156,16 +121,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         paths = export_timeline(telemetry, Path(args.telemetry_out))
         for path in paths.values():
             print(f"telemetry: {path}", file=sys.stderr)
-    if args.stream:
-        _report_peak_rss()
     return 0
 
 
 def _cmd_escape_eval(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError(
-            "escape-eval: --jobs shards the streamed replay; add --stream"
-        )
     store = _make_store(args)
     result = escape_eval(
         store,
@@ -178,6 +137,4 @@ def _cmd_escape_eval(args: argparse.Namespace) -> int:
         print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     else:
         print(render_escape_eval(result))
-    if args.stream:
-        _report_peak_rss()
     return 0

@@ -14,12 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.cli._options import (
-    _add_store_options,
-    _add_stream_option,
-    _make_store,
-    jobs_count,
-)
+from repro.cli._options import _add_store_options, _make_store
 from repro.search import (
     DEFAULT_GENERATIONS,
     DEFAULT_OBJECTIVE,
@@ -92,12 +87,7 @@ def register(sub) -> None:
                      help="print the full session document instead of "
                           "the ranked table")
     _add_search_dir_option(run)
-    _add_store_options(run)
-    _add_stream_option(run)
-    run.add_argument("--jobs", type=jobs_count, default=1, metavar="N",
-                     help="shard the streamed replay over N workers "
-                          "(needs --stream; the recorded session is "
-                          "byte-identical to a serial run)")
+    _add_store_options(run, jobs=True)
     run.set_defaults(handler=_cmd_search_run)
 
     show = search_sub.add_parser(
@@ -132,8 +122,6 @@ def register(sub) -> None:
 
 
 def _cmd_search_run(args: argparse.Namespace) -> int:
-    if args.jobs > 1 and not args.stream:
-        raise ValueError("--jobs shards the streamed replay; add --stream")
     if args.space is not None:
         space = SearchSpace.from_json(
             Path(args.space).read_text(encoding="utf-8")

@@ -26,9 +26,7 @@ from repro.analysis import tables as tables_mod
 from repro.cli._options import (
     _add_store_options,
     _add_predictor_option,
-    _add_stream_option,
     _make_store,
-    _report_peak_rss,
 )
 from repro.obs.metrics import Metrics, record_peak_rss
 from repro.obs.spans import TRACER
@@ -64,7 +62,6 @@ def register(sub) -> None:
     table = sub.add_parser("table", help="regenerate the paper's tables")
     table.add_argument("which", help="table number 1-9, or 'all'")
     _add_store_options(table, jobs=True)
-    _add_stream_option(table)
     _add_predictor_option(table)
     table.set_defaults(handler=_cmd_table)
 
@@ -102,20 +99,19 @@ def _cmd_warm(args: argparse.Namespace) -> int:
 
 def _table_worker(
     key: str, scale: float, cache_dir: Optional[str], use_cache: bool,
-    streaming: bool = False,
 ) -> tuple:
     """Child-process body of ``table --jobs N``: render one table.
 
     Returns the rendered text plus a :meth:`Metrics.to_dict` snapshot —
     workload runs, cache hits, and this worker's peak RSS — so the
-    parent can merge it; without the snapshot ``--stream``'s peak-RSS
-    note would report the parent process only and span/cache counters
+    parent can merge it; without the snapshot the session's peak-RSS
+    gauge would cover the parent process only and span/cache counters
     would under-count (exactly the bug ``warm(jobs=N)`` fixed in its
     own worker).
     """
     metrics = Metrics()
     store = TraceStore(scale=scale, cache_dir=cache_dir, use_cache=use_cache,
-                       streaming=streaming, metrics=metrics)
+                       metrics=metrics)
     compute, render = _cli._TABLES[key]
     text = render(compute(store))
     record_peak_rss(metrics)
@@ -151,7 +147,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
             scale=args.scale,
             cache_dir=args.cache_dir,
             use_cache=not args.no_cache,
-            streaming=args.stream,
         )
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for text, worker_metrics in pool.map(worker, which):
@@ -159,18 +154,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
                 print(text)
                 print()
     else:
-        if args.jobs > 1 and len(which) == 1 and not args.stream:
-            print(
-                "table: --jobs on a single table parallelizes within the "
-                "trace, which needs the streamed path; add --stream",
-                file=sys.stderr,
-            )
+        # One table (or no cache): --jobs shards the store's lifetime
+        # folds instead.
         for key in which:
             compute, render = tables[key]
             with TRACER.span("table.render", cat="table", table=key):
                 text = render(compute(store))
             print(text)
             print()
-    if args.stream:
-        _report_peak_rss()
     return 0

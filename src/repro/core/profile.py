@@ -152,80 +152,21 @@ def build_profile(
     paper's tables is computed directly from the trace by
     :func:`repro.core.predictor.actual_short_lived_bytes`.
 
-    An in-memory :class:`Trace` folds objects in allocation (object-id)
-    order, as always; an :class:`~repro.runtime.stream.protocol.
-    EventSource` folds each object at its death event in one stream pass
-    with an O(live objects) working set.  Every order-independent
-    statistic — counts, byte sums, min/max lifetime, and therefore the
-    all-short-lived predictor selection — is identical between the two;
-    only the order-*dependent* P^2 quantile approximations inside each
-    site can differ, which is why the materialized path keeps the
-    historical fold order (``repro-alloc sites`` reports stay stable).
+    One stream pass with an O(live objects) working set: each object is
+    folded at its free event, and objects never freed follow in
+    object-id order at program exit.  That death order is the one P^2
+    fold order for every input — an in-memory trace, a file stream or a
+    store's source — so the order-dependent quantile estimates inside
+    each site never depend on where the trace came from.
     """
-    from repro.runtime.events import Trace as _Trace
-    from repro.runtime.stream.protocol import TraceEventSource
-
-    if isinstance(trace, TraceEventSource):
-        # An in-memory trace merely wrapped as a stream: unwrap so the
-        # P^2 fold order (and hence the sites report) stays historical.
-        trace = trace.trace
-    if not isinstance(trace, _Trace):
-        return _build_profile_streaming(trace, chain_length, size_rounding)
-    profile = SiteProfile(
-        program=trace.program,
-        dataset=trace.dataset,
-        chain_length=chain_length,
-        size_rounding=size_rounding,
-    )
-    key_of = _site_keyer(trace.chains, chain_length, size_rounding)
-    chain_ids = trace.raw_arrays()["chain_ids"]
-    for obj_id in range(trace.total_objects):
-        size = trace.size_of(obj_id)
-        profile.observe(
-            key_of(chain_ids[obj_id], size),
-            size=size,
-            lifetime=trace.lifetime_of(obj_id),
-            touches=trace.touches_of(obj_id),
-            freed=trace.freed(obj_id),
-        )
-    return profile
-
-
-def _site_keyer(
-    chains: ChainTable, chain_length: Optional[int], size_rounding: int
-) -> Callable[[int, int], SiteKey]:
-    """``site_key`` of a raw ``(chain_id, size)`` pair, memoized per pair.
-
-    A trace holds a few hundred distinct pairs against hundreds of
-    thousands of objects, so each pair is pruned and keyed once.
-    """
-    chain_of = chains.chain
-    keys: Dict[Tuple[int, int], SiteKey] = {}
-
-    def key_of(chain_id: int, size: int) -> SiteKey:
-        key = keys.get((chain_id, size))
-        if key is None:
-            key = keys[(chain_id, size)] = site_key(
-                chain_of(chain_id), size,
-                length=chain_length, size_rounding=size_rounding,
-            )
-        return key
-
-    return key_of
-
-
-def _build_profile_streaming(
-    source: "EventSource",
-    chain_length: Optional[int],
-    size_rounding: int,
-) -> SiteProfile:
-    """One-pass :func:`build_profile` over an event stream."""
     from repro.runtime.stream.protocol import (
         EV_ALLOC,
         EV_FREE,
+        as_event_source,
         orphan_free_error,
     )
 
+    source = as_event_source(trace)
     header = source.header
     profile = SiteProfile(
         program=header.program,
@@ -261,3 +202,26 @@ def _build_profile_streaming(
             freed=False,
         )
     return profile
+
+
+def _site_keyer(
+    chains: ChainTable, chain_length: Optional[int], size_rounding: int
+) -> Callable[[int, int], SiteKey]:
+    """``site_key`` of a raw ``(chain_id, size)`` pair, memoized per pair.
+
+    A trace holds a few hundred distinct pairs against hundreds of
+    thousands of objects, so each pair is pruned and keyed once.
+    """
+    chain_of = chains.chain
+    keys: Dict[Tuple[int, int], SiteKey] = {}
+
+    def key_of(chain_id: int, size: int) -> SiteKey:
+        key = keys.get((chain_id, size))
+        if key is None:
+            key = keys[(chain_id, size)] = site_key(
+                chain_of(chain_id), size,
+                length=chain_length, size_rounding=size_rounding,
+            )
+        return key
+
+    return key_of

@@ -31,8 +31,7 @@ objects, so each consumer reads the census, not the objects, and
 :func:`~repro.runtime.shard.engine.lifetime_census` folds it once per
 (trace, threshold).  The order-*dependent* accumulations (P^2
 quantiles, live-byte high-water marks, allocator state) are
-deliberately absent — those replay through the ordered
-:class:`~repro.runtime.shard.source.ShardedTraceSource` instead.
+deliberately absent — those replay the event stream in order.
 """
 
 from __future__ import annotations

@@ -253,13 +253,19 @@ def orphan_free_error(
     ``where`` narrows the message (the sharded engine says which shards
     it searched).
     """
+    return TraceFormatError(
+        f"{_stream_name(source)}: free of object {obj_id} with no "
+        f"allocation{where}"
+    )
+
+
+def _stream_name(source: EventSource) -> str:
+    """A damaged stream's name: its file, else ``program/dataset``."""
     name = getattr(source, "path", None)
     if name is None:
         header = source.header
         name = f"{header.program}/{header.dataset}"
-    return TraceFormatError(
-        f"{name}: free of object {obj_id} with no allocation{where}"
-    )
+    return name
 
 
 def build_trace(source: EventSource) -> Trace:
@@ -268,7 +274,10 @@ def build_trace(source: EventSource) -> Trace:
     The inverse of :class:`TraceEventSource`: alloc events arrive in
     dense object-id order, so the parallel arrays are rebuilt with pure
     appends and the result round-trips exactly (same events, arrays, and
-    aggregates).
+    aggregates).  A stream that breaks that order, or frees an object
+    that is not live (never allocated, already freed, or a negative id),
+    raises :class:`~repro.runtime.tracefile.TraceFormatError` like every
+    other pairing pass.
     """
     header = source.header
     chain_ids = array("i")
@@ -283,9 +292,9 @@ def build_trace(source: EventSource) -> Trace:
         obj_id = ev[1]
         if tag == EV_ALLOC:
             if obj_id != len(sizes):
-                raise ValueError(
-                    f"alloc events out of order: expected object "
-                    f"{len(sizes)}, got {obj_id}"
+                raise TraceFormatError(
+                    f"{_stream_name(source)}: alloc events out of order: "
+                    f"expected object {len(sizes)}, got {obj_id}"
                 )
             chain_ids.append(ev[2])
             sizes.append(ev[3])
@@ -294,10 +303,9 @@ def build_trace(source: EventSource) -> Trace:
             touches.append(0)
             events.append((obj_id << 2) | EV_ALLOC)
         elif tag == EV_FREE:
-            try:
-                deaths[obj_id] = ev[2]
-            except IndexError:
-                raise orphan_free_error(source, obj_id) from None
+            if not 0 <= obj_id < len(deaths) or deaths[obj_id] != _NEVER_FREED:
+                raise orphan_free_error(source, obj_id)
+            deaths[obj_id] = ev[2]
             touches[obj_id] = ev[3]
             events.append((obj_id << 2) | EV_FREE)
         else:

@@ -6,11 +6,13 @@ workload execution:
 * :func:`~repro.analysis.simulate.simulate_spec` replays the trace for
   the instruction total and the max-heap footprint;
 * :func:`~repro.obs.attrib.attribute_sites` prices fragmentation
-  byte-time through the same object-lifetime fold — which means a
-  streaming store built with ``jobs > 1`` shards both passes over the
-  v3 chunk index, so ``--jobs`` parallelism comes from the existing
-  pool rather than a second scheduler, and the recorded numbers cannot
-  depend on the worker count.
+  byte-time from the execution's memoized lifetime census.
+
+Both read the store's one source per execution: the first replay
+streams the cached file, and the second decodes it once, so every
+later candidate replays from memory.  A store built with ``jobs > 1``
+shards the census folds over the v3 chunk index, and the recorded
+numbers cannot depend on the worker count.
 
 Grid mode scores every spec the space enumerates; evolve mode walks the
 space with the seeded driver in :mod:`repro.search.evolve`.  Either
@@ -65,10 +67,9 @@ def evaluate_spec(
 
     The predictor is resolved the way the spec asks
     (:meth:`TraceStore.predictor_for`), then both the replay and the
-    attribution consume the store's event source — materialized or
-    sharded-streaming, whichever the store was built for.  Attribution
-    prices the source's memoized lifetime census, so only the first
-    candidate at a threshold pays an object pass for it.
+    attribution consume the store's event source.  Attribution prices
+    the source's memoized lifetime census, so only the first candidate
+    at a threshold pays an object pass for it.
     """
     predictor = store.predictor_for(program, spec)
     with TRACER.span(

@@ -33,7 +33,7 @@ from repro.obs.diff import (
     diff_paths,
     render_diff_report,
 )
-from repro.runtime.shard import PairCensusFold, ShardedTraceSource
+from repro.runtime.shard import PairCensusFold
 from repro.runtime.stream.protocol import (
     TraceEventSource,
     as_event_source,
@@ -180,7 +180,7 @@ class TestReplayModeParity:
             for source in (
                 TraceEventSource(trace),
                 TraceFileSource(path),
-                ShardedTraceSource(path, jobs=2),
+                TraceFileSource(path, shard_jobs=2),
             )
         ]
         serialized = [json.dumps(doc, sort_keys=True) for doc in docs]

@@ -6,7 +6,9 @@ Two kinds of damage:
   object it never allocated.  Every pass that pairs frees with
   allocations (the serial lifetime iterators, live stats, the P^2
   profile, materialization, replay, the sharded engine) raises the same
-  error, and the CLI turns it into one ``error:`` line and exit 1;
+  error, and the CLI turns it into one ``error:`` line and exit 1.  A
+  second free of an object, a free of a negative id and an allocation
+  out of id order are the same kind of damage to materialization;
 * *byte damage* — truncations and byte flips.  The reader must reject
   them with ``TraceFormatError`` and nothing else, both through
   :class:`TraceFileSource` plus a full ``events()`` drain and through
@@ -33,8 +35,9 @@ from repro.alloc.spec import FIRSTFIT_SPEC
 from repro.analysis.simulate import simulate_spec
 from repro.core.profile import build_profile
 from repro.core.predictor import train_site_predictor
-from repro.runtime.shard import ShardedTraceSource, lifetime_census
+from repro.runtime.shard import lifetime_census
 from repro.runtime.stream.protocol import (
+    EV_ALLOC,
     EV_FREE,
     EventSource,
     TraceEventSource,
@@ -54,13 +57,15 @@ from tests.conftest import make_churn_trace
 ROOT = Path(__file__).resolve().parent.parent
 
 
-class _WithOrphanFree(EventSource):
-    """A trace's stream with a free of a never-allocated object spliced in
-    halfway."""
+class _Spliced(EventSource):
+    """A trace's stream with one damaging event spliced in halfway.
 
-    def __init__(self, trace):
+    ``damage`` maps the events before the splice to the spliced event.
+    """
+
+    def __init__(self, trace, damage):
         self.inner = TraceEventSource(trace)
-        self.orphan = trace.total_objects + 7
+        self.damage = damage
 
     @property
     def header(self):
@@ -76,8 +81,41 @@ class _WithOrphanFree(EventSource):
         events = list(self.inner.events())
         half = len(events) // 2
         yield from events[:half]
-        yield (EV_FREE, self.orphan, events[half - 1][-1], 0)
+        yield self.damage(events[:half])
         yield from events[half:]
+
+
+class _WithOrphanFree(_Spliced):
+    """A free of a never-allocated object spliced in halfway."""
+
+    def __init__(self, trace):
+        self.orphan = trace.total_objects + 7
+        super().__init__(
+            trace, lambda before: (EV_FREE, self.orphan, before[-1][-1], 0)
+        )
+
+
+def _first_free(events):
+    """The first free event; spliced in again, it is a second free."""
+    return next(ev for ev in events if ev[0] == EV_FREE)
+
+
+def _negative_free(before):
+    return (EV_FREE, -1, before[-1][-1], 0)
+
+
+def _skipped_alloc(before):
+    """An allocation that skips ahead of the dense object-id order."""
+    next_id = sum(1 for ev in before if ev[0] == EV_ALLOC)
+    return (EV_ALLOC, next_id + 3, 0, 16, before[-1][-1])
+
+
+#: Spliced damage -> the message materialization must raise.
+_MATERIALIZE_DAMAGE = {
+    "second-free": (_first_free, "free of object {obj} with no allocation"),
+    "negative-free": (_negative_free, "free of object -1 with no allocation"),
+    "skipped-alloc": (_skipped_alloc, "alloc events out of order"),
+}
 
 
 def write_orphan_free_trace(path, objects=40, chunk_events=16):
@@ -137,12 +175,12 @@ class TestOrphanFree:
         with pytest.raises(TraceFormatError,
                            match=_message(orphan_id)
                            + " in any earlier shard"):
-            lifetime_census(ShardedTraceSource(path, jobs=2), 4096)
+            lifetime_census(TraceFileSource(path, shard_jobs=2), 4096)
 
     @pytest.mark.parametrize("args", [
         ["sites"],
         ["profile", "-o", "{tmp}/out.sites"],
-        ["simulate", "--allocator", "firstfit", "--stream"],
+        ["simulate", "--allocator", "firstfit"],
     ], ids=["sites", "profile", "simulate-stream"])
     def test_cli_prints_one_error_line(self, orphan, tmp_path, args):
         path, orphan_id = orphan
@@ -156,6 +194,39 @@ class TestOrphanFree:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ")
         assert _message(orphan_id) in done.stderr
+
+
+@pytest.fixture(scope="module", params=sorted(_MATERIALIZE_DAMAGE))
+def spliced(request, tmp_path_factory):
+    """A v3 file whose stream carries one kind of materialization damage,
+    and the message that damage must raise."""
+    damage, message = _MATERIALIZE_DAMAGE[request.param]
+    path = tmp_path_factory.mktemp(request.param) / "spliced.rtr3"
+    source = _Spliced(make_churn_trace(objects=40), damage)
+    write_trace_v3(source, path, chunk_events=16)
+    freed = _first_free(source.inner.events())
+    return path, message.format(obj=freed[1])
+
+
+class TestMaterializeDamage:
+    def test_load_trace_raises_trace_format_error(self, spliced):
+        path, message = spliced
+        with pytest.raises(TraceFormatError, match=message) as err:
+            load_trace(path)
+        assert str(err.value).startswith(f"{path}: ")
+
+    def test_cli_sites_prints_one_error_line(self, spliced):
+        path, message = spliced
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "sites", str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        )
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ")
+        assert len(done.stderr.splitlines()) == 1
+        assert message in done.stderr
 
 
 # ----------------------------------------------------------------------

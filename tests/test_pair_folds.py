@@ -56,7 +56,6 @@ from repro.obs.attrib import ATTRIB_PROFILES, attribute_sites
 from repro.runtime.heap import TracedHeap
 from repro.runtime.shard import (
     PairCensusFold,
-    ShardedTraceSource,
     lifetime_census,
 )
 from repro.runtime.stream.protocol import (
@@ -373,7 +372,7 @@ class TestPairFoldsMatchPerObjectReference:
             path = Path(tmp) / "prop.rtr3"
             # Tiny chunks, so objects routinely cross shard boundaries.
             write_trace_v3(TraceEventSource(trace), path, chunk_events=3)
-            source = ShardedTraceSource(path, jobs=2)
+            source = TraceFileSource(path, shard_jobs=2)
             check_against_reference(trace, source,
                                     pick_threshold(trace, permille),
                                     [level], seed)
@@ -452,7 +451,7 @@ class TestCensusMemo:
         path = tmp_path / "churn.rtr3"
         write_trace_v3(TraceEventSource(trace), path, chunk_events=64)
         for holder in (trace, TraceFileSource(path),
-                       ShardedTraceSource(path, jobs=2)):
+                       TraceFileSource(path, shard_jobs=2)):
             cold = pickle.dumps(holder)
             census = lifetime_census(holder, 4096)
             assert census.pairs and holder._census
@@ -463,7 +462,9 @@ class TestCensusMemo:
             assert lifetime_census(clone, 4096) is not census
 
     def test_streaming_store_hands_out_one_source(self, tmp_path):
-        store = TraceStore(scale=0.02, cache_dir=tmp_path, streaming=True)
+        # The first store runs the workload; the second opens its file.
+        TraceStore(scale=0.02, cache_dir=tmp_path).source("cfrac", "tiny")
+        store = TraceStore(scale=0.02, cache_dir=tmp_path)
         source = store.source("cfrac", "tiny")
         assert isinstance(source, TraceFileSource)
         assert store.source("cfrac", "tiny") is source

@@ -339,8 +339,7 @@ class TestSearchCli:
         ]
         assert main(base + ["--search-dir", str(serial_dir)]) == 0
         assert main(
-            base + ["--search-dir", str(sharded_dir),
-                    "--stream", "--jobs", "2"]
+            base + ["--search-dir", str(sharded_dir), "--jobs", "2"]
         ) == 0
         capsys.readouterr()
         serial = (serial_dir / "SEARCH_0001.json").read_bytes()
@@ -363,12 +362,6 @@ class TestSearchCli:
         ) == 0
         best = json.loads(capsys.readouterr().out)
         assert best["rank"] == 1
-
-    def test_jobs_without_stream_is_an_error(self, capsys):
-        assert main([
-            "search", "run", "--program", "cfrac", "--jobs", "2",
-        ]) == 1
-        assert "add --stream" in capsys.readouterr().err
 
     def test_bad_jobs_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

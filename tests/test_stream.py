@@ -385,6 +385,9 @@ class TestStreamingParity:
             assert other.max_lifetime == stats.max_lifetime
             assert other.unfreed_objects == stats.unfreed_objects
             assert other.unfreed_bytes == stats.unfreed_bytes
+            # Every input folds in the same (death) order, so even the
+            # order-dependent P^2 quantiles agree.
+            assert other.histogram.quantiles() == stats.histogram.quantiles()
 
     def test_site_predictors_match(self, streamed):
         trace, source = streamed

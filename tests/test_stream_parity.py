@@ -1,19 +1,21 @@
-"""End-to-end parity: converted v3 streams reproduce the tables exactly.
+"""End-to-end parity: converted v3 files reproduce the tables exactly.
 
-The acceptance test for the streaming refactor (DESIGN.md §10): every
-workload is traced once, written in the legacy v2 format, pushed through
-the ``convert_trace`` upgrade to chunked v3, and then replayed through a
-``TraceStore(streaming=True)``.  Tables 4, 7, and 8 rendered from the
-streamed files must be *byte-identical* to the materialized path, and the
-trained predictor databases must serialize to identical bytes.
+The acceptance test for the trace store's one path (DESIGN.md §10):
+every workload is traced once, written in the legacy v2 format, pushed
+through the ``convert_trace`` upgrade to chunked v3, and then replayed
+through a fresh :class:`TraceStore` over those files — each execution
+streamed on its first pass and decoded into memory on its second.
+Tables 4, 7, and 8 rendered from the files must be *byte-identical* to
+the store that ran the workloads and replays their in-memory traces,
+and the trained predictor databases must serialize to identical bytes.
 
 One module-scoped fixture runs the five workloads (train + test datasets)
 at scale 0.05; everything downstream reuses those runs via the shared
 cache directory.
 
 The sharded tests replay the same cache through a ``jobs=2`` store
-(DESIGN.md §11): chunk-parallel decode plus the map/reduce lifetime
-folds must hold the same byte-identity bar the serial stream does.
+(DESIGN.md §11): the map/reduce lifetime folds must hold the same
+byte-identity bar the serial folds do.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from repro.analysis.tables import table4, table7, table8
 from repro.analysis.trace_cache import TraceCache
 from repro.core.database import save_predictor
 from repro.obs.metrics import Metrics
-from repro.runtime.stream import TraceFileSource
+from repro.runtime.stream import TraceEventSource, TraceFileSource
 from repro.runtime.tracefile import convert_trace, save_trace
 from repro.workloads.registry import PROGRAM_ORDER
 
@@ -35,11 +37,12 @@ SCALE = 0.05
 
 @pytest.fixture(scope="module")
 def stores(tmp_path_factory):
-    """(materialized store, streaming store) over one shared cache.
+    """(run store, file store) over one shared cache.
 
-    The streaming store's cache entries are produced by the v2 -> v3
+    The run store executes the workloads and replays their in-memory
+    traces.  The file store's cache entries are produced by the v2 -> v3
     converter rather than written natively, so this fixture exercises the
-    whole upgrade path: trace -> v2 file -> convert -> v3 file -> stream.
+    whole upgrade path: trace -> v2 file -> convert -> v3 file -> store.
     """
     root = tmp_path_factory.mktemp("stream-parity")
     cache_dir = root / "cache"
@@ -52,25 +55,32 @@ def stores(tmp_path_factory):
         entry = cache.entry_path(program, dataset, SCALE)
         entry.parent.mkdir(parents=True, exist_ok=True)
         assert convert_trace(legacy, entry, version=3) == 3
-    streaming = TraceStore(scale=SCALE, cache_dir=cache_dir, streaming=True)
+    streaming = TraceStore(scale=SCALE, cache_dir=cache_dir)
     return materialized, streaming
 
 
 @pytest.fixture(scope="module")
 def sharded_store(stores):
-    """A jobs=2 streaming store over the same converted v3 cache."""
+    """A jobs=2 store over the same converted v3 cache."""
     _, streaming = stores
     return TraceStore(
         scale=SCALE,
         cache_dir=streaming.cache.directory,
-        streaming=True,
         jobs=2,
     )
 
 
 def test_streaming_store_replays_files_not_memory(stores):
-    _, streaming = stores
-    assert isinstance(streaming.source("gawk"), TraceFileSource)
+    materialized, streaming = stores
+    assert isinstance(materialized.source("gawk"), TraceEventSource)
+    fresh = TraceStore(scale=SCALE, cache_dir=streaming.cache.directory)
+    source = fresh.source("gawk")
+    assert isinstance(source, TraceFileSource)
+    assert list(source.events()) == list(
+        materialized.source("gawk").events()
+    )
+    # The first pass streamed the file and built no Trace.
+    assert source._memory is None
 
 
 def test_tables_4_7_8_are_byte_identical(stores):
@@ -104,10 +114,8 @@ def test_cce_predictors_agree(stores):
 
 
 def test_sharded_store_hands_out_sharded_sources(stores, sharded_store):
-    from repro.runtime.shard import ShardedTraceSource
-
     source = sharded_store.source("gawk")
-    assert isinstance(source, ShardedTraceSource)
+    assert isinstance(source, TraceFileSource)
     assert source.shard_jobs == 2
 
 
@@ -142,12 +150,12 @@ def test_windows_and_drift_are_byte_identical_across_replay_modes(
 
     The windowed time-series document and the drift report derived from
     it — serialized exactly as their JSON exports write them — must be
-    byte-identical whether the fold consumed the materialized trace, the
-    serial v3 stream, or the jobs=2 sharded replay.  Window boundaries
-    come from the trace header (bytes axis) so the partition is
-    identical by construction; what this gate proves is that the
-    per-window tallies and per-site scores survive out-of-order,
-    merge-reduced delivery.
+    byte-identical whether the fold consumed the workload run's trace,
+    the store's v3 file, or the jobs=2 sharded fold over that file.
+    Window boundaries come from the trace header (bytes axis) so the
+    partition is identical by construction; what this gate proves is
+    that the per-window tallies and per-site scores survive
+    out-of-order, merge-reduced delivery.
     """
     import json
 
@@ -178,7 +186,7 @@ def test_windows_and_drift_are_byte_identical_across_replay_modes(
 def test_events_axis_windows_are_byte_identical(stores, sharded_store):
     """The events axis needs a prepass over the stream to place window
     boundaries, so it exercises re-iterability of every source kind; the
-    resulting document must still be mode-independent.  One workload
+    resulting document must still be source-independent.  One workload
     suffices — the bytes-axis gate above covers all five.
     """
     import json
@@ -206,8 +214,8 @@ def test_attribution_is_byte_identical_across_replay_modes(
 
     The attribution document — serialized exactly as the JSON export
     writes it — must be byte-identical whether the fold consumed the
-    materialized trace, the serial v3 stream, or the jobs=2 sharded
-    replay.  The predictor comes from the materialized store on all
+    workload run's trace, the store's v3 file, or the jobs=2 sharded
+    fold over that file.  The predictor comes from the run store on all
     three paths so the only variable is the event pipeline.
     """
     import json

@@ -480,13 +480,6 @@ class TestWindowsCli:
         assert (out_dir / "gawk-test-w4b.windows.csv").exists()
         assert (out_dir / "gawk-test-w4b.drift.json").exists()
 
-    def test_windows_jobs_requires_stream(self, tmp_path, capsys):
-        assert main([
-            "windows", "--program", "gawk", "--scale", "0.05",
-            "--cache-dir", str(tmp_path / "cache"), "--jobs", "2",
-        ]) == 1
-        assert "add --stream" in capsys.readouterr().err
-
     def test_report_html_is_self_contained(self, tmp_path, capsys):
         out = tmp_path / "report.html"
         argv = [
